@@ -12,6 +12,7 @@ from .account_model import (
     encode_account,
 )
 from .batch import (
+    MAX_THREADS,
     OBU,
     TWO_PHASE,
     BatchPreconditionError,
@@ -33,6 +34,7 @@ from .hasher import (
 )
 from .smt_core import (
     ConfigError,
+    ConsistencyError,
     DuplicateLeafError,
     LeafOperation,
     LeafRangeError,

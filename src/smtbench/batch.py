@@ -1,9 +1,13 @@
 """The two root-hash engines.
 
 `batch_update` is the one-phase engine: apply every leaf mutation through the
-O(1)/O(log n) primitives while collecting a duplicate-free parent set, then
-rehash dirty nodes level by level bottom-up until the root is rewritten. Each
-affected path is walked once.
+O(1)/O(log n) primitives, then sweep the dirty nodes level by level bottom-up
+until the root is rewritten. The sweep carries each level's fresh digests up
+with its ascending node list: adjacent siblings 2p and 2p+1 hash from the
+carried digests, a lone dirty child reads only its clean sibling from the
+cache, and each level's parents come out ascending and duplicate-free. Each
+affected path is walked once. With several threads a wide level is cut into
+chunks that never split a sibling pair, so chunks own disjoint parents.
 
 `two_phase_update` is the baseline it is measured against: a full root-to-leaf
 traversal per operation to mutate the leaf, then a recursive top-down rehash
@@ -21,9 +25,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from .counters import CounterSet
-from .hasher import hash_leaf, hash_node
 from .smt_core import (
     DuplicateLeafError,
     LeafOperation,
@@ -34,8 +39,16 @@ from .smt_core import (
     level_of,
 )
 
+# One level's sweep: (child default, own default, nodes, digests) -> (parents, parent digests)
+_Sweep = Callable[[bytes, bytes, list[int], list[bytes]], tuple[list[int], list[bytes]]]
+
 OBU = "obu"
 TWO_PHASE = "two-phase"
+
+# Upper bound on engine worker threads. The two-phase fork-join starts a raw
+# thread per node down to log2(threads) levels, so an unbounded count could
+# start tens of thousands of threads.
+MAX_THREADS = 64
 
 # A level is handed to the pool only when every worker gets at least this
 # many nodes; below that, dispatch costs more than the hashing it buys.
@@ -70,16 +83,18 @@ class BatchPreconditionError(SmtError):
 class EngineConfig:
     threads: int = 1
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {self.threads}")
+
 
 def set_parallelism(config: EngineConfig, threads: int | str | None) -> EngineConfig:
     """Return a config with the worker count set; None or "auto" means one
-    worker per hardware thread. threads=1 is fully sequential."""
+    worker per hardware thread, capped at MAX_THREADS. threads=1 is fully
+    sequential."""
     if threads in (None, "auto"):
-        threads = os.cpu_count() or 1
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return replace(config, threads=threads)
+        threads = min(os.cpu_count() or 1, MAX_THREADS)
+    return replace(config, threads=int(threads))
 
 
 @dataclass
@@ -135,16 +150,15 @@ def batch_update(
     ops: list[LeafOperation],
     config: EngineConfig = EngineConfig(),
 ) -> BatchResult:
-    """One-phase engine: leaf phase via O(1)/O(log n) primitives feeding a
-    duplicate-free parent set, then a bottom-up level sweep rehashing exactly
-    the dirty nodes. Aborting ops roll the tree back untouched."""
+    """One-phase engine: leaf phase via O(1)/O(log n) primitives, then a
+    bottom-up level sweep carrying fresh digests and rehashing exactly the
+    dirty nodes. Aborting ops roll the tree back untouched."""
     counters = CounterSet()
     tree.counters = counters
     if not ops:
         return BatchResult(tree.root(), counters, OBU, [])
 
     started = time.perf_counter_ns()
-    parent_set: set[int] = set()
     touched: set[int] = set()
     hashed_leaves: set[int] = set()
     journal: _Journal = []
@@ -158,63 +172,109 @@ def batch_update(
         if op.kind is not OpKind.REMOVE:
             hashed_leaves.add(op.index)
         touched.add(leaf_base + op.index)
-        parent_set.add((leaf_base + op.index) >> 1)
     counters.leaf_phase_visits = counters.node_visits
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    # The touched leaf slots are the schedule's first level; the sweeps below
-    # append one list per internal level, bottom-up.
-    work_lists: list[list[int]] = [sorted(touched)]
-    while parent_set:
-        current = sorted(parent_set)
-        work_lists.append(current)
-        _rehash_level(tree, current, counters, config.threads)
-        counters.levels_processed += 1
-        parent_set = {i >> 1 for i in current if i > 1}
+    cache, defaults = tree.cache, tree.defaults
+    # The touched leaf slots are the schedule's first level; each sweep below
+    # appends its parents, bottom-up. A removed leaf carries the default digest.
+    nodes = sorted(touched)
+    digests = [cache.get(node, defaults[tree.depth]) for node in nodes]
+    work_lists: list[list[int]] = [nodes]
+    sweep: _Sweep = partial(_sweep, cache, tree.scheme.hasher.node)
+    if config.threads > 1:
+        sweep = partial(_pooled_sweep, sweep, config.threads)
+    rehashed = 0
+    for level in range(tree.depth - 1, -1, -1):
+        nodes, digests = sweep(defaults[level + 1], defaults[level], nodes, digests)
+        work_lists.append(nodes)
+        rehashed += len(nodes)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
-    counters.hash_invocations += len(hashed_leaves)
+    counters.node_visits += rehashed
+    counters.hash_invocations += len(hashed_leaves) + rehashed
+    counters.levels_processed = tree.depth
     return BatchResult(tree.root(), counters, OBU, work_lists)
 
 
-def _rehash_level(
-    tree: SparseMerkleTree,
-    indices: list[int],
-    counters: CounterSet,
-    threads: int,
-) -> None:
-    if threads <= 1 or len(indices) < threads * _MIN_NODES_PER_WORKER:
-        _rehash_slice(tree, indices, counters)
-        return
-    # Disjoint same-level writes with read-only access to the level below;
-    # the map() completion is the barrier between levels. Worker counters are
-    # merged only after the barrier.
-    chunk = (len(indices) + threads - 1) // threads
-    slices = [indices[i : i + chunk] for i in range(0, len(indices), chunk)]
-    locals_ = [CounterSet() for _ in slices]
-    pool = _shared_pool(threads)
-    list(pool.map(lambda sc: _rehash_slice(tree, sc[0], sc[1]), zip(slices, locals_)))
-    for local in locals_:
-        counters.merge(local)
-
-
-def _rehash_slice(tree: SparseMerkleTree, indices: list[int], counters: CounterSet) -> None:
-    cache = tree.cache
-    defaults = tree.defaults
-    scheme = tree.scheme
-    level = level_of(indices[0])
-    child_default = defaults[level + 1]
-    own_default = defaults[level]
-    for node in indices:
-        left = cache.get(2 * node, child_default)
-        right = cache.get(2 * node + 1, child_default)
-        digest = hash_node(scheme, left, right)
+def _sweep(
+    cache: dict[int, bytes],
+    node_hash: Callable[[bytes, bytes], bytes],
+    child_default: bytes,
+    own_default: bytes,
+    nodes: list[int],
+    digests: list[bytes],
+) -> tuple[list[int], list[bytes]]:
+    """Rehash the parents of one level's dirty `nodes` (ascending, distinct)
+    from their fresh `digests`; returns the parents, ascending and distinct,
+    with their fresh digests. Only a lone child's clean sibling is read from
+    the cache, and only parents are written."""
+    parents: list[int] = []
+    fresh: list[bytes] = []
+    get = cache.get
+    i, count = 0, len(nodes)
+    while i < count:
+        node = nodes[i]
+        if node & 1:  # lone right child
+            digest = node_hash(get(node - 1, child_default), digests[i])
+            i += 1
+        elif i + 1 < count and nodes[i + 1] == node + 1:  # both siblings dirty
+            digest = node_hash(digests[i], digests[i + 1])
+            i += 2
+        else:  # lone left child
+            digest = node_hash(digests[i], get(node + 1, child_default))
+            i += 1
+        parent = node >> 1
         if digest == own_default:
-            cache.pop(node, None)  # all-default subtree prunes away
+            cache.pop(parent, None)  # all-default subtree prunes away
         else:
-            cache[node] = digest
-        counters.node_visits += 1
-        counters.hash_invocations += 1
+            cache[parent] = digest
+        parents.append(parent)
+        fresh.append(digest)
+    return parents, fresh
+
+
+def _pooled_sweep(
+    sweep: _Sweep,
+    threads: int,
+    child_default: bytes,
+    own_default: bytes,
+    nodes: list[int],
+    digests: list[bytes],
+) -> tuple[list[int], list[bytes]]:
+    """`sweep` over pair-preserving chunks of one level on the shared pool.
+
+    Chunks own disjoint parents, so their cache writes never collide and
+    their outputs concatenate ascending and duplicate-free; reads touch only
+    the level below. The map() completion is the barrier between levels.
+    """
+    if len(nodes) < threads * _MIN_NODES_PER_WORKER:
+        return sweep(child_default, own_default, nodes, digests)
+    cuts = _pair_cuts(nodes, threads)
+    chunks = _shared_pool(threads).map(
+        lambda lo, hi: sweep(child_default, own_default, nodes[lo:hi], digests[lo:hi]),
+        cuts,
+        cuts[1:],
+    )
+    parents: list[int] = []
+    fresh: list[bytes] = []
+    for chunk_parents, chunk_fresh in chunks:
+        parents += chunk_parents
+        fresh += chunk_fresh
+    return parents, fresh
+
+
+def _pair_cuts(nodes: list[int], parts: int) -> list[int]:
+    """Boundaries of `parts` near-even chunks of `nodes`, each moved past a
+    right sibling so that 2p and 2p+1 always land in the same chunk."""
+    step = -(-len(nodes) // parts)
+    cuts = [0]
+    for cut in range(step, len(nodes), step):
+        if nodes[cut] & 1 and nodes[cut - 1] == nodes[cut] - 1:
+            cut += 1
+        cuts.append(cut)
+    cuts.append(len(nodes))
+    return cuts
 
 
 # -- two-phase baseline --------------------------------------------------------
@@ -253,7 +313,7 @@ def two_phase_update(
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    budget = max(config.threads, 1).bit_length() - 1  # fork depth: 2^budget leaf tasks
+    budget = config.threads.bit_length() - 1  # fork depth: 2^budget leaf tasks
     new_root = _rehash_recursive(tree, 1, stale, counters, budget)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     counters.hash_invocations += len(hashed_leaves)
@@ -277,7 +337,7 @@ def _two_phase_apply(
             raise DuplicateLeafError(f"leaf {op.index} already present")
         counters.node_visits += tree.depth
         tree.leaf_values[op.index] = op.value
-        tree.cache[heap] = hash_leaf(tree.scheme, op.value)
+        tree.cache[heap] = tree.scheme.hasher.leaf(op.value)
         journal.append((OpKind.INSERT, op.index, None, [heap]))
         return
     if op.index not in tree.leaf_values:
@@ -286,7 +346,7 @@ def _two_phase_apply(
     old = (tree.leaf_values[op.index], tree.cache[heap])
     if op.kind is OpKind.UPDATE:
         tree.leaf_values[op.index] = op.value
-        tree.cache[heap] = hash_leaf(tree.scheme, op.value)
+        tree.cache[heap] = tree.scheme.hasher.leaf(op.value)
         journal.append((OpKind.UPDATE, op.index, old, None))
     else:
         del tree.leaf_values[op.index]
@@ -326,7 +386,7 @@ def _rehash_recursive(
     else:
         left = _rehash_recursive(tree, 2 * node, stale, counters, 0)
         right = _rehash_recursive(tree, 2 * node + 1, stale, counters, 0)
-    digest = hash_node(tree.scheme, left, right)
+    digest = tree.scheme.hasher.node(left, right)
     if digest == tree.defaults[level]:
         tree.cache.pop(node, None)
     else:

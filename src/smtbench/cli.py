@@ -23,6 +23,7 @@ from .bench import (
     run_micro,
     stats_path,
 )
+from .batch import MAX_THREADS
 from .smt_core import SmtError
 from .workload import TraceParseError, TraceValidationError
 
@@ -34,8 +35,8 @@ def _parse_threads(raw: str) -> int | str:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"threads must be an integer or 'auto', got {raw!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"threads must be in [1, {MAX_THREADS}], got {value}")
     return value
 
 

@@ -46,6 +46,14 @@ class SnapshotFormatError(SmtError):
     pass
 
 
+class ConsistencyError(SmtError, AssertionError):
+    """The cache invariant does not hold.
+
+    Raised explicitly, so the check survives `python -O`; it is also an
+    AssertionError, so callers that caught the old asserts still work.
+    """
+
+
 class OpKind(Enum):
     INSERT = "insert"
     UPDATE = "update"
@@ -145,7 +153,7 @@ class SparseMerkleTree:
         self.leaf_values[index] = value
         node = self.leaf_heap_index(index)
         created = [node]
-        self.cache[node] = hash_leaf(self.scheme, value)
+        self.cache[node] = self.scheme.hasher.leaf(value)
         self.counters.node_visits += 1
         node >>= 1
         while node > 1:
@@ -161,7 +169,7 @@ class SparseMerkleTree:
         if index not in self.leaf_values:
             raise MissingLeafError(f"leaf {index} not present")
         self.leaf_values[index] = value
-        self.cache[self.leaf_heap_index(index)] = hash_leaf(self.scheme, value)
+        self.cache[self.leaf_heap_index(index)] = self.scheme.hasher.leaf(value)
         self.counters.node_visits += 1
 
     def remove_leaf(self, index: int) -> None:
@@ -262,20 +270,22 @@ def member_verify(
 ) -> bool:
     """Fold a leaf value up through the witness siblings and compare to root.
 
-    Pure function of its arguments; a malformed witness verifies false.
+    Pure function of its arguments; a malformed witness, including one whose
+    leaf index lies outside [0, 2^depth), verifies false.
     """
-    if len(witness.siblings) != depth:
+    if len(witness.siblings) != depth or not 0 <= witness.leaf_index < 1 << depth:
         return False
-    size = scheme.digest_size
-    digest = hash_leaf(scheme, value)
+    size, node_hash, leaf_hash = scheme.hasher
+    digest = leaf_hash(value)
     index = witness.leaf_index
-    for distance, sibling in enumerate(witness.siblings):
+    for sibling in witness.siblings:
         if len(sibling) != size:
             return False
-        if (index >> distance) & 1:
-            digest = hash_node(scheme, sibling, digest)
+        if index & 1:
+            digest = node_hash(sibling, digest)
         else:
-            digest = hash_node(scheme, digest, sibling)
+            digest = node_hash(digest, sibling)
+        index >>= 1
     return digest == root
 
 
@@ -287,26 +297,28 @@ def non_member_verify(
 
 
 def check_consistency(tree: SparseMerkleTree) -> None:
-    """Debug walker asserting the cache invariant over the whole tree.
+    """Debug walker checking the cache invariant over the whole tree.
 
     Valid only at public-operation boundaries (no stale nodes). Raises
-    AssertionError on the first violation.
+    ConsistencyError on the first violation.
     """
     top = 1 << (tree.depth + 1)
     for node, digest in tree.cache.items():
-        assert 1 <= node < top, f"cache key {node} out of heap range"
+        if not 1 <= node < top:
+            raise ConsistencyError(f"cache key {node} out of heap range")
         level = level_of(node)
         if level < tree.depth:
             # Internal defaults must be pruned; a cached leaf digest may equal
             # the default when a present leaf holds the default payload.
-            assert digest != tree.defaults[level], f"default digest cached at {node}"
+            if digest == tree.defaults[level]:
+                raise ConsistencyError(f"default digest cached at {node}")
             expect = hash_node(tree.scheme, tree.resolve(2 * node), tree.resolve(2 * node + 1))
-            assert digest == expect, f"stale internal node {node}"
+            if digest != expect:
+                raise ConsistencyError(f"stale internal node {node}")
         else:
             leaf = node - tree.capacity
-            assert leaf in tree.leaf_values, f"leaf digest cached for absent leaf {leaf}"
+            if leaf not in tree.leaf_values:
+                raise ConsistencyError(f"leaf digest cached for absent leaf {leaf}")
     for leaf, value in tree.leaf_values.items():
-        heap = tree.leaf_heap_index(leaf)
-        assert tree.cache.get(heap) == hash_leaf(tree.scheme, value), (
-            f"leaf {leaf} digest missing or stale"
-        )
+        if tree.cache.get(tree.leaf_heap_index(leaf)) != hash_leaf(tree.scheme, value):
+            raise ConsistencyError(f"leaf {leaf} digest missing or stale")

@@ -1,13 +1,16 @@
 import os
 import random
+import sys
 
 import pytest
 
 from smtbench.batch import (
+    MAX_THREADS,
     OBU,
     TWO_PHASE,
     BatchPreconditionError,
     EngineConfig,
+    _pair_cuts,
     batch_update,
     set_parallelism,
     two_phase_update,
@@ -136,6 +139,89 @@ def test_level_monotonicity_of_work_lists():
     assert two_phase_update(tree, []).level_work_lists is None
 
 
+# -- digest-carrying sweep ------------------------------------------------------------
+
+
+def assert_sweep_matches_oracles(depth, initial, ops, result):
+    internal = result.level_work_lists[1:]
+    for work in result.level_work_lists:
+        assert work == sorted(set(work))  # ascending, no parent repeats
+    touched = {op.index for op in ops}
+    assert {n for work in internal for n in work} == ancestor_union(depth, touched)
+    assert result.new_root == naive_root(depth, final_leaves(initial, ops))
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[4], [5], [4, 5], [0, 3, 4, 5, 6, 15]],
+    ids=["left-only", "right-only", "both-dirty", "mixed"],
+)
+def test_sweep_sibling_cases(indices):
+    # Every leaf is present, so a lone child's clean sibling is a real digest
+    # that the sweep must read from the cache, not a default.
+    initial = {i: b"v" + bytes([i]) for i in range(16)}
+    tree = populated(4, initial)
+    ops = updates(indices)
+    result = batch_update(tree, ops)
+    assert_sweep_matches_oracles(4, initial, ops, result)
+    check_consistency(tree)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_removals_prune_subtree_to_defaults(engine):
+    depth = 6
+    initial = {i: bytes([i]) for i in range(8, 16)} | {40: b"keep"}
+    tree = populated(depth, initial)
+    ops = [LeafOperation.remove(i) for i in range(8, 16)] + [LeafOperation.update(40, b"new")]
+    result = engine(tree, ops)
+    assert tree.cache == populated(depth, {40: b"new"}).cache
+    assert result.new_root == naive_root(depth, {40: b"new"})
+    if engine is batch_update:
+        assert_sweep_matches_oracles(depth, initial, ops, result)
+
+
+def test_threaded_cut_keeps_sibling_pairs_together():
+    # 65 touched leaves on two threads: the even cut at position 33 falls
+    # between leaves 64 and 65, so the chunk boundary must move past 65.
+    depth = 8
+    indices = list(range(0, 64, 2)) + [64, 65] + list(range(68, 130, 2))
+    initial = {i: bytes([i]) for i in indices}
+    ops = updates(indices, tag=b"t")
+    leaves = sorted((1 << depth) + i for i in indices)
+    assert _pair_cuts(leaves, 2) == [0, 34, 65]
+    base = populated(depth, initial)
+    reference = batch_update(base.clone(), ops, EngineConfig(threads=1))
+    threaded_tree = base.clone()
+    threaded = batch_update(threaded_tree, ops, EngineConfig(threads=2))
+    assert_sweep_matches_oracles(depth, initial, ops, threaded)
+    assert threaded.level_work_lists == reference.level_work_lists
+    assert threaded.new_root == reference.new_root
+    assert threaded.counters.node_visits == reference.counters.node_visits
+    assert threaded.counters.hash_invocations == reference.counters.hash_invocations
+    check_consistency(threaded_tree)
+
+
+def test_threaded_sweep_under_fast_switching():
+    # More workers than cores and a tiny switch interval: a lost or torn
+    # cache write from any chunk would change the root or the final cache.
+    depth, k = 12, 900
+    base = populated(depth, {i: bytes([i % 256]) for i in range(0, 2 * k, 2)})
+    ops = updates(range(0, 2 * k, 2), tag=b"s")
+    ops += [LeafOperation.insert(i, b"n") for i in range(1, 600, 2)]
+    reference_tree = base.clone()
+    reference = batch_update(reference_tree, ops)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (3, 8):
+            tree = base.clone()
+            result = batch_update(tree, ops, EngineConfig(threads=threads))
+            assert result.new_root == reference.new_root
+            assert tree.cache == reference_tree.cache
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- batch composition ----------------------------------------------------------------
 
 
@@ -223,10 +309,21 @@ def test_rollback_covers_materialised_ancestors():
 def test_set_parallelism():
     config = EngineConfig()
     assert set_parallelism(config, 4).threads == 4
-    assert set_parallelism(config, "auto").threads == (os.cpu_count() or 1)
-    assert set_parallelism(config, None).threads == (os.cpu_count() or 1)
+    assert set_parallelism(config, "auto").threads == min(os.cpu_count() or 1, MAX_THREADS)
+    assert set_parallelism(config, None).threads == min(os.cpu_count() or 1, MAX_THREADS)
     with pytest.raises(ValueError):
         set_parallelism(config, 0)
+
+
+def test_thread_count_is_bounded():
+    # Validation only: no engine runs, so no thread starts.
+    assert MAX_THREADS == 64
+    assert EngineConfig(threads=MAX_THREADS).threads == MAX_THREADS
+    for bad in (0, MAX_THREADS + 1, 10**6):
+        with pytest.raises(ValueError, match="64"):
+            EngineConfig(threads=bad)
+        with pytest.raises(ValueError, match="64"):
+            set_parallelism(EngineConfig(), bad)
 
 
 def test_parallel_determinism_small_batches():

@@ -82,6 +82,15 @@ def test_bad_k_sweep_exits_one(tmp_path):
     ]) == 1
 
 
+def test_threads_above_limit_exits_one(tmp_path, capsys):
+    # Validation only: the value is rejected before any thread starts.
+    assert main([
+        "micro", "--workload", "seq-update", "--threads", str(10**6),
+        "--out", str(tmp_path / "x.csv"),
+    ]) == 1
+    assert "[1, 64]" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 

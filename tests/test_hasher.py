@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,3 +129,22 @@ def test_leaf_digest_size_and_purity(payload):
     digest = hash_leaf(DEFAULT_SCHEME, payload)
     assert len(digest) == DEFAULT_SCHEME.digest_size
     assert digest == hash_leaf(DEFAULT_SCHEME, payload)
+
+
+@pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, SLOW_SCHEME], ids=["sha256", "sha256x64"])
+def test_bound_hasher_equals_public_functions(scheme):
+    hasher = scheme.hasher
+    assert hasher.digest_size == scheme.digest_size == 32
+    for payload in (b"", b"a", bytes(range(70))):
+        assert hasher.leaf(payload) == hash_leaf(scheme, payload)
+    left, right = hasher.leaf(b"a"), hasher.leaf(b"b")
+    assert hasher.node(left, right) == hash_node(scheme, left, right)
+    assert hasher.node(right, left) == hash_node(scheme, right, left)
+    if scheme is DEFAULT_SCHEME:
+        assert hasher.node(LEAF_A, LEAF_B) == NODE_AB
+
+
+def test_scheme_pickles_with_its_bound_hasher():
+    copy = pickle.loads(pickle.dumps(SLOW_SCHEME))
+    assert copy == SLOW_SCHEME
+    assert copy.hasher.leaf(b"a") == hash_leaf(SLOW_SCHEME, b"a")

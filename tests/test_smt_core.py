@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smtbench.hasher import DEFAULT_SCHEME, hash_leaf, hash_node
+import smtbench
 from smtbench.smt_core import (
     ConfigError,
+    ConsistencyError,
     DuplicateLeafError,
     LeafOperation,
     LeafRangeError,
@@ -229,6 +235,16 @@ def test_member_verify_rejects_malformed_witness():
     assert not member_verify(tree.root(), bad_digest, b"x", 4)
 
 
+def test_member_verify_rejects_out_of_range_leaf_index():
+    # Only the low `depth` bits steer the fold, so without a range check a
+    # witness for leaf 3 also verifies as leaf 3 + 256 and as 3 - 256.
+    tree = build(8, {3: b"x", 200: b"y"})
+    witness = tree.member_witness_create(3)
+    assert member_verify(tree.root(), witness, b"x", 8)
+    for alias in (259, -253, 1 << 8):
+        assert not member_verify(tree.root(), Witness(alias, witness.siblings), b"x", 8)
+
+
 # -- snapshots ---------------------------------------------------------------------
 
 
@@ -274,6 +290,29 @@ def test_consistency_walker_detects_corruption():
     tree.cache[node] = b"\x00" * 32
     with pytest.raises(AssertionError):
         check_consistency(tree)
+
+
+def test_consistency_error_survives_optimize():
+    # Under `python -O` asserts vanish; the walker must still raise.
+    code = (
+        "from smtbench.smt_core import ConsistencyError, SmtError, check_consistency, gen\n"
+        "assert False, 'asserts are live'\n"
+        "tree = gen(4)\n"
+        "tree.commit({1: b'a', 9: b'b'})\n"
+        "tree.cache[next(i for i in tree.cache if 1 < i < 16)] = bytes(32)\n"
+        "try:\n"
+        "    check_consistency(tree)\n"
+        "except ConsistencyError as exc:\n"
+        "    print('raised', isinstance(exc, SmtError), isinstance(exc, AssertionError))\n"
+    )
+    src = str(Path(smtbench.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "True", "True"]
 
 
 # -- randomized properties -----------------------------------------------------------
