@@ -12,7 +12,7 @@ and the next engine hash phase the cache invariant is allowed to be stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -60,21 +60,50 @@ class OpKind(Enum):
     REMOVE = "remove"
 
 
-@dataclass(frozen=True)
 class LeafOperation:
     """One mutation of one indexed leaf; the atomic unit a transaction
-    decomposes into."""
+    decomposes into.
+
+    Immutable and equal by value, like a frozen dataclass, but a `__slots__`
+    class: the engines read `kind`, `index` and `value` as plain slots, and an
+    op costs less than half as much to build.
+    """
+
+    __slots__ = ("kind", "index", "value")
 
     kind: OpKind
     index: int
-    value: bytes | None = None
+    value: bytes | None
 
-    def __post_init__(self) -> None:
-        if self.kind is OpKind.REMOVE:
-            if self.value is not None:
+    def __init__(self, kind: OpKind, index: int, value: bytes | None = None) -> None:
+        if kind is OpKind.REMOVE:
+            if value is not None:
                 raise ValueError("remove carries no value")
-        elif self.value is None:
-            raise ValueError(f"{self.kind.value} requires a value")
+        elif value is None:
+            raise ValueError(f"{kind.value} requires a value")
+        _set_kind(self, kind)
+        _set_index(self, index)
+        _set_value(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.index, self.value) == (other.kind, other.index, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.index, self.value))
+
+    def __repr__(self) -> str:
+        return f"LeafOperation(kind={self.kind!r}, index={self.index!r}, value={self.value!r})"
+
+    def __reduce__(self):
+        return LeafOperation, (self.kind, self.index, self.value)
 
     @classmethod
     def insert(cls, index: int, value: bytes) -> "LeafOperation":
@@ -87,6 +116,12 @@ class LeafOperation:
     @classmethod
     def remove(cls, index: int) -> "LeafOperation":
         return cls(OpKind.REMOVE, index)
+
+
+# The slots' own setters, which bypass the write guard.
+_set_kind = LeafOperation.kind.__set__
+_set_index = LeafOperation.index.__set__
+_set_value = LeafOperation.value.__set__
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Micro workloads are plain leaf-operation lists. Macro workloads are block
 traces: ordered transactions that decompose into one or two leaf operations
 each, replayed against an account book so successive transactions see each
-other's effects.
+other's effects. What each transaction type does to its accounts is written
+once, as its steps in `TX_STEPS`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,16 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .account_model import Account, TxEffect, apply_tx_effect, decode_account, encode_account
+from .account_model import (
+    Account,
+    AccountCodecError,
+    InsufficientBalanceError,
+    apply_delta,
+    decode_account,
+    encode_account,
+)
 from .smt_core import LeafOperation, LeafRangeError, OpKind
 
 SEED_BALANCE = 10**30  # pre-seeded accounts can fund any synthetic flow
@@ -45,18 +53,44 @@ class TxType(str, Enum):
 
 PRIORITY_TYPES = frozenset({TxType.DEPOSIT, TxType.FULL_EXIT})
 
-# Account fields each type must carry: (needs from, needs to)
-_REQUIRED_REFS = {
-    TxType.TRANSFER: (True, True),
-    TxType.TRANSFER_TO_NEW: (True, True),
-    TxType.WITHDRAW: (True, False),
-    TxType.WITHDRAW_NFT: (True, True),
-    TxType.MINT_NFT: (True, True),
-    TxType.CHANGE_PUBKEY: (True, False),
-    TxType.FORCED_EXIT: (True, True),
-    TxType.SWAP: (True, True),
-    TxType.DEPOSIT: (False, True),
-    TxType.FULL_EXIT: (True, True),
+# Roles: which of a transaction's account fields a step acts on.
+FROM, TO = "from", "to"
+# Actions: UPDATE an existing account, INSERT a new one, UPSERT (update if it
+# exists, insert otherwise), ROTATE (update and rotate the key), REMOVE.
+UPDATE, INSERT, UPSERT, ROTATE, REMOVE = "update", "insert", "upsert", "rotate", "remove"
+
+
+class Step(NamedTuple):
+    """One leaf operation of a transaction: the account `role` names gets
+    `sign * amount` of the transaction's token and, if `bump_nonce`, its
+    nonce bumped. An inserted account starts with only that balance."""
+
+    role: str
+    action: str
+    sign: int
+    bump_nonce: bool
+
+
+_EXIT = (Step(FROM, UPDATE, 0, True), Step(TO, REMOVE, 0, False))
+
+# Each transaction type's account semantics, in leaf-operation order.
+TX_STEPS: dict[TxType, tuple[Step, ...]] = {
+    TxType.TRANSFER: (Step(FROM, UPDATE, -1, True), Step(TO, UPDATE, +1, False)),
+    TxType.TRANSFER_TO_NEW: (Step(FROM, UPDATE, -1, True), Step(TO, INSERT, +1, False)),
+    TxType.WITHDRAW: (Step(FROM, UPDATE, -1, True),),
+    TxType.WITHDRAW_NFT: (Step(FROM, UPDATE, -1, True), Step(TO, UPDATE, 0, True)),
+    TxType.MINT_NFT: (Step(TO, UPDATE, +1, False), Step(FROM, UPDATE, 0, True)),
+    TxType.CHANGE_PUBKEY: (Step(FROM, ROTATE, 0, True),),
+    TxType.FORCED_EXIT: _EXIT,
+    TxType.SWAP: (Step(FROM, UPDATE, -1, True), Step(TO, UPDATE, +1, True)),
+    TxType.DEPOSIT: (Step(TO, UPSERT, +1, False),),
+    TxType.FULL_EXIT: _EXIT,
+}
+
+# (needs from, needs to) per type, read off its steps.
+_NEEDS = {
+    kind: tuple(any(step.role == role for step in steps) for role in (FROM, TO))
+    for kind, steps in TX_STEPS.items()
 }
 
 
@@ -69,7 +103,7 @@ class TxRecord:
     amount: int = 0
 
     def __post_init__(self) -> None:
-        needs_from, needs_to = _REQUIRED_REFS[self.tx_type]
+        needs_from, needs_to = _NEEDS[self.tx_type]
         if needs_from and self.from_account is None:
             raise TraceValidationError(f"{self.tx_type.value} requires a from account")
         if needs_to and self.to_account is None:
@@ -108,9 +142,6 @@ class AccountBook:
     def put(self, account: Account) -> None:
         self.accounts[account.account_id] = account
 
-    def remove(self, index: int) -> None:
-        del self.accounts[index]
-
     def clone(self) -> "AccountBook":
         book = AccountBook()
         book.accounts = dict(self.accounts)
@@ -129,110 +160,76 @@ def _rotated_pubkey(index: int, nonce: int) -> bytes:
 
 
 def tx_to_leaf_ops(tx: TxRecord, book: AccountBook) -> list[LeafOperation]:
-    """Decompose one transaction into its one or two leaf operations.
+    """Decompose one transaction into its one or two leaf operations, one
+    per step of its type.
 
     Reads `book` but never writes it; op payloads are the encoded
-    post-transaction account states. Apply the returned ops with
+    post-transaction account states, and a second step on the same account
+    starts from the first step's result. Apply the returned ops with
     `apply_leaf_ops` to advance the book before the next transaction.
     """
-    overlay: dict[int, Account | None] = {}
-
-    def existing(index: int) -> Account:
-        if index in overlay:
-            account = overlay[index]
-        else:
-            account = book.get(index)
-        if account is None:
+    accounts = book.accounts
+    token, amount = tx.token_id, tx.amount
+    ops = []
+    last_index = last = None  # the previous step's account index and result
+    for role, action, sign, bump_nonce in TX_STEPS[tx.tx_type]:
+        index = tx.from_account if role == FROM else tx.to_account
+        account = last if index == last_index else accounts.get(index)
+        delta = sign * amount
+        if action == INSERT or (action == UPSERT and account is None):
+            if account is not None:
+                raise TraceValidationError(
+                    f"{tx.tx_type.value} expects account {index} to be new"
+                )
+            last = Account(index, 0, default_pubkey(index), {token: delta} if delta else {})
+            ops.append(LeafOperation.insert(index, encode_account(last)))
+        elif account is None:
             raise TraceValidationError(
                 f"{tx.tx_type.value} references absent account {index}"
             )
-        return account
-
-    def absent(index: int) -> None:
-        present = overlay[index] is not None if index in overlay else index in book
-        if present:
-            raise TraceValidationError(
-                f"{tx.tx_type.value} expects account {index} to be new"
-            )
-
-    def update(index: int, effect: TxEffect) -> LeafOperation:
-        account = apply_tx_effect(existing(index), effect)
-        overlay[index] = account
-        return LeafOperation.update(index, encode_account(account))
-
-    def insert(account: Account) -> LeafOperation:
-        absent(account.account_id)
-        overlay[account.account_id] = account
-        return LeafOperation.insert(account.account_id, encode_account(account))
-
-    def remove(index: int) -> LeafOperation:
-        existing(index)
-        overlay[index] = None
-        return LeafOperation.remove(index)
-
-    kind, sender, target = tx.tx_type, tx.from_account, tx.to_account
-    token, amount = tx.token_id, tx.amount
-    if kind is TxType.TRANSFER:
-        return [
-            update(sender, TxEffect(token, -amount, bump_nonce=True)),
-            update(target, TxEffect(token, +amount)),
-        ]
-    if kind is TxType.TRANSFER_TO_NEW:
-        debit = update(sender, TxEffect(token, -amount, bump_nonce=True))
-        fresh = Account(target, 0, default_pubkey(target), {token: amount} if amount else {})
-        return [debit, insert(fresh)]
-    if kind is TxType.WITHDRAW:
-        return [update(sender, TxEffect(token, -amount, bump_nonce=True))]
-    if kind is TxType.WITHDRAW_NFT:
-        return [
-            update(sender, TxEffect(token, -amount, bump_nonce=True)),
-            update(target, TxEffect(token, 0, bump_nonce=True)),
-        ]
-    if kind is TxType.MINT_NFT:
-        return [
-            update(target, TxEffect(token, +amount)),
-            update(sender, TxEffect(token, 0, bump_nonce=True)),
-        ]
-    if kind is TxType.CHANGE_PUBKEY:
-        account = existing(sender)
-        effect = TxEffect(
-            token, 0, bump_nonce=True,
-            new_pubkey_hash=_rotated_pubkey(sender, account.nonce + 1),
-        )
-        return [update(sender, effect)]
-    if kind in (TxType.FORCED_EXIT, TxType.FULL_EXIT):
-        return [update(sender, TxEffect(token, 0, bump_nonce=True)), remove(target)]
-    if kind is TxType.SWAP:
-        return [
-            update(sender, TxEffect(token, -amount, bump_nonce=True)),
-            update(target, TxEffect(token, +amount, bump_nonce=True)),
-        ]
-    if kind is TxType.DEPOSIT:
-        if target in book:
-            return [update(target, TxEffect(token, +amount))]
-        fresh = Account(target, 0, default_pubkey(target), {token: amount} if amount else {})
-        return [insert(fresh)]
-    raise TraceValidationError(f"unsupported transaction type {kind!r}")
+        elif action == REMOVE:
+            last = None
+            ops.append(LeafOperation.remove(index))
+        else:
+            rotated = _rotated_pubkey(index, account.nonce + 1) if action == ROTATE else None
+            last = apply_delta(account, token, delta, bump_nonce, rotated)
+            ops.append(LeafOperation.update(index, encode_account(last)))
+        last_index = index
+    return ops
 
 
 def apply_leaf_ops(book: AccountBook, ops: Iterable[LeafOperation]) -> None:
     """Advance the account book past a batch of decomposed operations."""
+    accounts = book.accounts
     for op in ops:
         if op.kind is OpKind.REMOVE:
-            book.remove(op.index)
+            del accounts[op.index]
         else:
-            book.put(decode_account(op.value, op.index))
+            accounts[op.index] = decode_account(op.value, op.index)
+
+
+# What `tx_to_leaf_ops` raises for a transaction the book cannot take.
+TX_ERRORS = (TraceValidationError, InsufficientBalanceError, AccountCodecError)
 
 
 def replay_blocks(
     blocks: Iterable[BlockTrace], book: AccountBook
 ) -> list[tuple[BlockTrace, list[LeafOperation]]]:
-    """Decompose every block in order, advancing the book as replay proceeds."""
+    """Decompose every block in order, advancing the book as replay proceeds.
+
+    A transaction that cannot be decomposed re-raises its error, same class,
+    prefixed with its location: `block <n> tx <i> (<type>): `, where i counts
+    from 0 within the block.
+    """
     out = []
     for block in blocks:
         block_ops: list[LeafOperation] = []
-        for tx in block.txs:
-            ops = tx_to_leaf_ops(tx, book)
+        for position, tx in enumerate(block.txs):
+            try:
+                ops = tx_to_leaf_ops(tx, book)
+            except TX_ERRORS as exc:
+                where = f"block {block.block_number} tx {position} ({tx.tx_type.value})"
+                raise type(exc)(f"{where}: {exc}") from exc
             apply_leaf_ops(book, ops)
             block_ops.extend(ops)
         out.append((block, block_ops))

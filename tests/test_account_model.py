@@ -92,6 +92,50 @@ def test_encode_rejects_bad_pubkey_and_ranges():
         encode_account(Account(0, 0, b"\x00" * 20, {0: 2**128}))
 
 
+@pytest.mark.parametrize(
+    "account,message",
+    [
+        (Account(0, 0, b"\x00" * 20, {2**16: 1}), "token id 65536 out of range"),
+        (Account(0, 0, b"\x00" * 20, {-1: 1}), "token id -1 out of range"),
+        (Account(0, 0, b"\x00" * 20, {0: 0}), "amount 0 for token 0 out of range"),
+        (Account(0, 0, b"\x00" * 20, {0: -1}), "amount -1 for token 0 out of range"),
+        (Account(0, 0, b"\x00" * 20, {0: 2**128}), f"amount {2**128} for token 0 out of range"),
+        # The first bad field in encoding order is the one named.
+        (Account(0, 0, b"\x00" * 20, {0: 0, 2**16: 1}), "amount 0 for token 0"),
+        (Account(0, 0, b"\x00" * 20, {2**16: 0, 1: 1}), "token id 65536"),
+        (Account(0, 2**64, b"\x00" * 20), f"nonce {2**64} out of range"),
+        (Account(0, -1, b"\x00" * 20), "nonce -1 out of range"),
+        (Account(0, 0, b"\x00" * 19), "pubkey hash must be 20 bytes, got 19"),
+    ],
+)
+def test_encode_error_names_the_bad_field(account, message):
+    with pytest.raises(AccountCodecError, match=message):
+        encode_account(account)
+
+
+def test_encode_rejects_more_balances_than_the_count_holds():
+    with pytest.raises(AccountCodecError, match="65536 balances"):
+        encode_account(Account(0, 0, b"\x00" * 20, dict.fromkeys(range(2**16), 1)))
+
+
+def test_decode_error_messages():
+    header = b"\x00" * 28
+    with pytest.raises(AccountCodecError, match="payload too short: 29 bytes"):
+        decode_account(b"\x00" * 29, 0)
+    with pytest.raises(AccountCodecError, match="payload length 31 does not match balance count 0"):
+        decode_account(header + b"\x00\x00\x00", 0)
+    entry = (5).to_bytes(2, "little") + (1).to_bytes(16, "little")
+    with pytest.raises(AccountCodecError, match="token ids not strictly ascending"):
+        decode_account(header + (2).to_bytes(2, "little") + entry + entry, 0)
+    zero = (5).to_bytes(2, "little") + bytes(16)
+    with pytest.raises(AccountCodecError, match="zero balance encoded for token 5"):
+        decode_account(header + (1).to_bytes(2, "little") + zero, 0)
+
+
+def test_account_has_slots():
+    assert not hasattr(Account(0), "__dict__")
+
+
 def test_apply_effect_credit():
     account = Account(1)
     credited = apply_tx_effect(account, TxEffect(0, +100))

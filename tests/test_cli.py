@@ -114,3 +114,14 @@ def test_single_engine_cli(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {row["engine"] for row in rows} == {"obu"}
+
+
+def test_macro_replay_error_names_block_and_tx(tmp_path, repo_root):
+    # The unfiltered synthetic trace still hits the pre-seed defect; the
+    # error must say where, not only which account.
+    proc = run_cli(
+        "macro", "--trace", str(repo_root / "traces" / "synthetic_100blocks.json"),
+        "--runs", "1", "--threads", "1", "--out", str(tmp_path / "o.csv"),
+    )
+    assert proc.returncode == 1
+    assert "error: block 11 tx 21 (Swap): account 2207 token 2: 0 + -487 < 0" in proc.stderr

@@ -16,6 +16,7 @@ from smtbench.smt_core import (
     LeafOperation,
     LeafRangeError,
     MissingLeafError,
+    OpKind,
     SnapshotFormatError,
     SparseMerkleTree,
     Witness,
@@ -351,3 +352,34 @@ def test_witness_round_trip_random_trees(data):
             assert member_verify(root, witness, leaves[index], depth)
         else:
             assert non_member_verify(root, witness, depth)
+
+
+def test_leaf_operation_is_a_frozen_value():
+    import copy
+    import pickle
+    from dataclasses import FrozenInstanceError
+
+    op = LeafOperation.insert(3, b"v")
+    assert op == LeafOperation(OpKind.INSERT, 3, b"v")
+    assert op != LeafOperation.update(3, b"v")
+    assert op != (OpKind.INSERT, 3, b"v")
+    assert hash(op) == hash(LeafOperation.insert(3, b"v"))
+    assert len({op, LeafOperation.insert(3, b"v"), LeafOperation.remove(3)}) == 2
+    assert pickle.loads(pickle.dumps(op)) == op
+    assert copy.deepcopy(op) == op
+    assert repr(op) == "LeafOperation(kind=<OpKind.INSERT: 'insert'>, index=3, value=b'v')"
+    with pytest.raises(FrozenInstanceError):
+        op.index = 4
+    with pytest.raises(FrozenInstanceError):
+        del op.value
+    assert not hasattr(op, "__dict__")
+
+
+def test_leaf_operation_validates_direct_construction():
+    with pytest.raises(ValueError, match="remove carries no value"):
+        LeafOperation(OpKind.REMOVE, 1, b"x")
+    for kind in (OpKind.INSERT, OpKind.UPDATE):
+        with pytest.raises(ValueError, match=f"{kind.value} requires a value"):
+            LeafOperation(kind, 1)
+    with pytest.raises(ValueError):
+        LeafOperation.update(1, None)

@@ -3,10 +3,13 @@ from collections import Counter
 
 import pytest
 
-from smtbench.account_model import Account, encode_account
+from smtbench.account_model import Account, InsufficientBalanceError, encode_account
 from smtbench.batch import batch_update, two_phase_update
 from smtbench.smt_core import LeafOperation, LeafRangeError, OpKind, check_consistency, gen
 from smtbench.workload import (
+    FROM,
+    TO,
+    TX_STEPS,
     AccountBook,
     BlockTrace,
     TraceParseError,
@@ -146,6 +149,47 @@ def test_tx_record_requires_role_fields():
         TxRecord(TxType.TRANSFER, 1, None, 0, 1)
     with pytest.raises(TraceValidationError):
         TxRecord(TxType.DEPOSIT, 1, None, 0, 1)
+
+
+@pytest.mark.parametrize("tx_type", list(TxType))
+def test_role_checks_follow_the_step_table(tx_type):
+    needs = {
+        FROM: tx_type is not TxType.DEPOSIT,
+        TO: tx_type not in (TxType.WITHDRAW, TxType.CHANGE_PUBKEY),
+    }
+    assert {step.role for step in TX_STEPS[tx_type]} == {r for r, n in needs.items() if n}
+    for role, needed in needs.items():
+        fields = {"from_account": 1, "to_account": 2}
+        fields[f"{role}_account"] = None
+        if needed:
+            with pytest.raises(TraceValidationError, match=f"requires a {role} account"):
+                TxRecord(tx_type, **fields)
+        else:
+            TxRecord(tx_type, **fields)
+
+
+def test_replay_error_names_block_tx_and_type():
+    blocks = [
+        BlockTrace(4, (TxRecord(TxType.DEPOSIT, None, 1, 0, 5),)),
+        BlockTrace(5, (
+            TxRecord(TxType.TRANSFER, 1, 2, 0, 1),
+            TxRecord(TxType.WITHDRAW, 2, None, 0, 10**10),
+        )),
+    ]
+    with pytest.raises(InsufficientBalanceError) as info:
+        replay_blocks(blocks, funded_book(2))
+    assert str(info.value) == "block 5 tx 1 (Withdraw): account 2 token 0: 1000000001 + -10000000000 < 0"
+    assert isinstance(info.value.__cause__, InsufficientBalanceError)
+    with pytest.raises(TraceValidationError, match=r"^block 4 tx 0 \(Transfer\): Transfer references absent account 9$"):
+        replay_blocks([BlockTrace(4, (TxRecord(TxType.TRANSFER, 1, 9, 0, 1),))], funded_book(1))
+
+
+def test_failed_tx_leaves_the_book_untouched():
+    book = funded_book(1, 2)
+    before = dict(book.accounts)
+    with pytest.raises(InsufficientBalanceError):
+        tx_to_leaf_ops(TxRecord(TxType.SWAP, 1, 2, 0, -10**10), book)
+    assert book.accounts == before
 
 
 def test_self_transfer_threads_state_through_the_tx():
