@@ -12,14 +12,11 @@ from .account_model import (
     encode_account,
 )
 from .batch import (
-    MAX_THREADS,
     OBU,
     TWO_PHASE,
     BatchPreconditionError,
     BatchResult,
-    EngineConfig,
     batch_update,
-    set_parallelism,
     two_phase_update,
 )
 from .counters import CounterSet

@@ -6,8 +6,7 @@ until the root is rewritten. The sweep carries each level's fresh digests up
 with its ascending node list: adjacent siblings 2p and 2p+1 hash from the
 carried digests, a lone dirty child reads only its clean sibling from the
 cache, and each level's parents come out ascending and duplicate-free. Each
-affected path is walked once. With several threads a wide level is cut into
-chunks that never split a sibling pair, so chunks own disjoint parents.
+affected path is walked once.
 
 `two_phase_update` is the baseline it is measured against: a full root-to-leaf
 traversal per operation to mutate the leaf, then a recursive top-down rehash
@@ -15,18 +14,13 @@ of the stale paths, so every affected path is walked twice.
 
 Both engines produce bytewise-identical roots, final tree states, and hash
 counts on the same inputs; the difference the benchmarks measure is traversal
-work and thread structure.
+work. Both run on the calling thread.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable
+from dataclasses import dataclass
 
 from .counters import CounterSet
 from .smt_core import (
@@ -39,34 +33,8 @@ from .smt_core import (
     level_of,
 )
 
-# One level's sweep: (child default, own default, nodes, digests) -> (parents, parent digests)
-_Sweep = Callable[[bytes, bytes, list[int], list[bytes]], tuple[list[int], list[bytes]]]
-
 OBU = "obu"
 TWO_PHASE = "two-phase"
-
-# Upper bound on engine worker threads. The two-phase fork-join starts a raw
-# thread per node down to log2(threads) levels, so an unbounded count could
-# start tens of thousands of threads.
-MAX_THREADS = 64
-
-# A level is handed to the pool only when every worker gets at least this
-# many nodes; below that, dispatch costs more than the hashing it buys.
-_MIN_NODES_PER_WORKER = 32
-
-# One shared pool per worker count, created lazily and reused across engine
-# runs so pool construction never lands inside a timed region.
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    with _POOLS_LOCK:
-        pool = _POOLS.get(threads)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="smt-level")
-            _POOLS[threads] = pool
-        return pool
 
 
 class BatchPreconditionError(SmtError):
@@ -77,24 +45,6 @@ class BatchPreconditionError(SmtError):
         super().__init__(f"operation {op_index} rejected: {cause}")
         self.op_index = op_index
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {self.threads}")
-
-
-def set_parallelism(config: EngineConfig, threads: int | str | None) -> EngineConfig:
-    """Return a config with the worker count set; None or "auto" means one
-    worker per hardware thread, capped at MAX_THREADS. threads=1 is fully
-    sequential."""
-    if threads in (None, "auto"):
-        threads = min(os.cpu_count() or 1, MAX_THREADS)
-    return replace(config, threads=int(threads))
 
 
 @dataclass
@@ -145,11 +95,7 @@ def _journaled(tree: SparseMerkleTree, op: LeafOperation, journal: _Journal) -> 
 # -- one-phase batch update ----------------------------------------------------
 
 
-def batch_update(
-    tree: SparseMerkleTree,
-    ops: list[LeafOperation],
-    config: EngineConfig = EngineConfig(),
-) -> BatchResult:
+def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResult:
     """One-phase engine: leaf phase via O(1)/O(log n) primitives, then a
     bottom-up level sweep carrying fresh digests and rehashing exactly the
     dirty nodes. Aborting ops roll the tree back untouched."""
@@ -177,17 +123,39 @@ def batch_update(
 
     started = time.perf_counter_ns()
     cache, defaults = tree.cache, tree.defaults
-    # The touched leaf slots are the schedule's first level; each sweep below
+    node_hash, get = tree.scheme.hasher.node, cache.get
+    # The touched leaf slots are the schedule's first level; each level below
     # appends its parents, bottom-up. A removed leaf carries the default digest.
     nodes = sorted(touched)
-    digests = [cache.get(node, defaults[tree.depth]) for node in nodes]
+    digests = [get(node, defaults[tree.depth]) for node in nodes]
     work_lists: list[list[int]] = [nodes]
-    sweep: _Sweep = partial(_sweep, cache, tree.scheme.hasher.node)
-    if config.threads > 1:
-        sweep = partial(_pooled_sweep, sweep, config.threads)
     rehashed = 0
     for level in range(tree.depth - 1, -1, -1):
-        nodes, digests = sweep(defaults[level + 1], defaults[level], nodes, digests)
+        # Parents of the dirty `nodes` (ascending, distinct), hashed from their
+        # fresh `digests`; only a lone child's clean sibling is read from the cache.
+        child_default, own_default = defaults[level + 1], defaults[level]
+        parents: list[int] = []
+        fresh: list[bytes] = []
+        i, count = 0, len(nodes)
+        while i < count:
+            node = nodes[i]
+            if node & 1:  # lone right child
+                digest = node_hash(get(node - 1, child_default), digests[i])
+                i += 1
+            elif i + 1 < count and nodes[i + 1] == node + 1:  # both siblings dirty
+                digest = node_hash(digests[i], digests[i + 1])
+                i += 2
+            else:  # lone left child
+                digest = node_hash(digests[i], get(node + 1, child_default))
+                i += 1
+            parent = node >> 1
+            if digest == own_default:
+                cache.pop(parent, None)  # all-default subtree prunes away
+            else:
+                cache[parent] = digest
+            parents.append(parent)
+            fresh.append(digest)
+        nodes, digests = parents, fresh
         work_lists.append(nodes)
         rehashed += len(nodes)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
@@ -197,94 +165,10 @@ def batch_update(
     return BatchResult(tree.root(), counters, OBU, work_lists)
 
 
-def _sweep(
-    cache: dict[int, bytes],
-    node_hash: Callable[[bytes, bytes], bytes],
-    child_default: bytes,
-    own_default: bytes,
-    nodes: list[int],
-    digests: list[bytes],
-) -> tuple[list[int], list[bytes]]:
-    """Rehash the parents of one level's dirty `nodes` (ascending, distinct)
-    from their fresh `digests`; returns the parents, ascending and distinct,
-    with their fresh digests. Only a lone child's clean sibling is read from
-    the cache, and only parents are written."""
-    parents: list[int] = []
-    fresh: list[bytes] = []
-    get = cache.get
-    i, count = 0, len(nodes)
-    while i < count:
-        node = nodes[i]
-        if node & 1:  # lone right child
-            digest = node_hash(get(node - 1, child_default), digests[i])
-            i += 1
-        elif i + 1 < count and nodes[i + 1] == node + 1:  # both siblings dirty
-            digest = node_hash(digests[i], digests[i + 1])
-            i += 2
-        else:  # lone left child
-            digest = node_hash(digests[i], get(node + 1, child_default))
-            i += 1
-        parent = node >> 1
-        if digest == own_default:
-            cache.pop(parent, None)  # all-default subtree prunes away
-        else:
-            cache[parent] = digest
-        parents.append(parent)
-        fresh.append(digest)
-    return parents, fresh
-
-
-def _pooled_sweep(
-    sweep: _Sweep,
-    threads: int,
-    child_default: bytes,
-    own_default: bytes,
-    nodes: list[int],
-    digests: list[bytes],
-) -> tuple[list[int], list[bytes]]:
-    """`sweep` over pair-preserving chunks of one level on the shared pool.
-
-    Chunks own disjoint parents, so their cache writes never collide and
-    their outputs concatenate ascending and duplicate-free; reads touch only
-    the level below. The map() completion is the barrier between levels.
-    """
-    if len(nodes) < threads * _MIN_NODES_PER_WORKER:
-        return sweep(child_default, own_default, nodes, digests)
-    cuts = _pair_cuts(nodes, threads)
-    chunks = _shared_pool(threads).map(
-        lambda lo, hi: sweep(child_default, own_default, nodes[lo:hi], digests[lo:hi]),
-        cuts,
-        cuts[1:],
-    )
-    parents: list[int] = []
-    fresh: list[bytes] = []
-    for chunk_parents, chunk_fresh in chunks:
-        parents += chunk_parents
-        fresh += chunk_fresh
-    return parents, fresh
-
-
-def _pair_cuts(nodes: list[int], parts: int) -> list[int]:
-    """Boundaries of `parts` near-even chunks of `nodes`, each moved past a
-    right sibling so that 2p and 2p+1 always land in the same chunk."""
-    step = -(-len(nodes) // parts)
-    cuts = [0]
-    for cut in range(step, len(nodes), step):
-        if nodes[cut] & 1 and nodes[cut - 1] == nodes[cut] - 1:
-            cut += 1
-        cuts.append(cut)
-    cuts.append(len(nodes))
-    return cuts
-
-
 # -- two-phase baseline --------------------------------------------------------
 
 
-def two_phase_update(
-    tree: SparseMerkleTree,
-    ops: list[LeafOperation],
-    config: EngineConfig = EngineConfig(),
-) -> BatchResult:
+def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResult:
     """Baseline engine: phase 1 charges a full root-to-leaf traversal for
     every operation (the benchmark system's O(log n) update) and marks the
     path stale; phase 2 recursively rehashes stale paths top-down."""
@@ -313,8 +197,7 @@ def two_phase_update(
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    budget = config.threads.bit_length() - 1  # fork depth: 2^budget leaf tasks
-    new_root = _rehash_recursive(tree, 1, stale, counters, budget)
+    new_root = _rehash_recursive(tree, 1, stale, counters)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     counters.hash_invocations += len(hashed_leaves)
     counters.levels_processed = tree.depth
@@ -359,7 +242,6 @@ def _rehash_recursive(
     node: int,
     stale: set[int],
     counters: CounterSet,
-    fork_budget: int,
 ) -> bytes:
     counters.node_visits += 1  # the recursion entered this node
     if node not in stale:
@@ -368,24 +250,8 @@ def _rehash_recursive(
     if level == tree.depth:
         # Leaf digest was written (or pruned away) in phase 1.
         return tree.resolve(node)
-    if fork_budget > 0:
-        # Nested fork-join: the left child runs on a spawned thread while the
-        # right runs here; join before combining, merging the fork's counters.
-        forked = CounterSet()
-        result: list[bytes] = [b""]
-
-        def run_left() -> None:
-            result[0] = _rehash_recursive(tree, 2 * node, stale, forked, fork_budget - 1)
-
-        worker = threading.Thread(target=run_left)
-        worker.start()
-        right = _rehash_recursive(tree, 2 * node + 1, stale, counters, fork_budget - 1)
-        worker.join()
-        counters.merge(forked)
-        left = result[0]
-    else:
-        left = _rehash_recursive(tree, 2 * node, stale, counters, 0)
-        right = _rehash_recursive(tree, 2 * node + 1, stale, counters, 0)
+    left = _rehash_recursive(tree, 2 * node, stale, counters)
+    right = _rehash_recursive(tree, 2 * node + 1, stale, counters)
     digest = tree.scheme.hasher.node(left, right)
     if digest == tree.defaults[level]:
         tree.cache.pop(node, None)

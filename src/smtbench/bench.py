@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .batch import OBU, TWO_PHASE, BatchResult, EngineConfig, batch_update, set_parallelism, two_phase_update
+from .batch import OBU, TWO_PHASE, BatchResult, batch_update, two_phase_update
 from .smt_core import LeafOperation, SparseMerkleTree, gen
 from .workload import (
     BlockTrace,
@@ -37,13 +37,13 @@ from .workload import (
 )
 from .account_model import encode_account
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 RUN_COLUMNS = (
-    "workload", "k", "depth", "threads", "engine", "run",
+    "workload", "k", "depth", "engine", "run",
     "wall_nanos", "node_visits", "hash_invocations", "root_hex",
 )
 AGGREGATE_COLUMNS = (
-    "workload", "k", "depth", "threads", "engine", "runs",
+    "workload", "k", "depth", "engine", "runs",
     "mean_nanos", "median_nanos", "stddev_nanos",
     "node_visits", "hash_invocations", "root_hex", "percent_decrease",
 )
@@ -77,7 +77,6 @@ def percent_decrease(baseline_nanos: float, obu_nanos: float) -> float:
 class BenchConfig:
     engine: str = "both"  # obu | two-phase | both
     depth: int = 24
-    threads: int | str | None = "auto"
     runs: int = 10
     seed: int = 2024
     micro_workload: str | None = None
@@ -109,7 +108,6 @@ class RunRecord:
     workload: str
     k: int
     depth: int
-    threads: int
     engine: str
     run: int
     wall_nanos: int
@@ -126,7 +124,6 @@ class AggregateRecord:
     workload: str
     k: int
     depth: int
-    threads: int
     engine: str
     runs: int
     mean_nanos: float
@@ -153,7 +150,6 @@ class AggregateRecord:
 class BenchReport:
     kind: str  # micro | macro
     workload: str
-    threads: int
     rows: list[RunRecord] = field(default_factory=list)
     aggregates: list[AggregateRecord] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
@@ -178,7 +174,6 @@ class BenchReport:
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "workload": self.workload,
-            "threads": self.threads,
             "environment": self.environment,
             "stats": self.stats,
         }
@@ -202,36 +197,71 @@ def _environment_note() -> str:
     )
 
 
-def _resolve_threads(threads: int | str | None) -> int:
-    return set_parallelism(EngineConfig(), threads).threads
-
-
 def _timed_runs(
     base: SparseMerkleTree,
     ops: list[LeafOperation],
     engine: str,
-    engine_cfg: EngineConfig,
     runs: int,
-) -> tuple[list[int], BatchResult]:
+) -> tuple[list[int], BatchResult, SparseMerkleTree]:
     """Run one engine `runs` times from clones of `base`, plus an untimed
-    warm-up; returns wall times and the last result."""
+    warm-up; returns wall times, the last result and the tree it left."""
     times = []
-    result = None
     for run in range(runs + 1):
         tree = base.clone()
         started = time.perf_counter_ns()
-        result = ENGINES[engine](tree, ops, engine_cfg)
+        result = ENGINES[engine](tree, ops)
         elapsed = time.perf_counter_ns() - started
         if run > 0:
             times.append(elapsed)
-    return times, result
+    return times, result, tree
+
+
+def _bench_point(
+    report: BenchReport,
+    config: BenchConfig,
+    k: int,
+    base: SparseMerkleTree,
+    ops: list[LeafOperation],
+) -> tuple[dict[str, float], float | None, SparseMerkleTree]:
+    """Time every configured engine on `ops` from clones of `base` and append
+    the run rows and aggregates to `report`. Returns each engine's mean wall
+    time, the percent decrease when both engines ran, and the tree after the
+    batch."""
+    means: dict[str, float] = {}
+    results: dict[str, BatchResult] = {}
+    times_by_engine: dict[str, list[int]] = {}
+    for engine in config.engines():
+        times, result, tree = _timed_runs(base, ops, engine, config.runs)
+        times_by_engine[engine] = times
+        results[engine] = result
+        means[engine] = statistics.fmean(times)
+        for run, wall in enumerate(times, start=1):
+            report.rows.append(
+                RunRecord(
+                    report.workload, k, config.depth, engine, run,
+                    wall, result.counters.node_visits,
+                    result.counters.hash_invocations, result.new_root.hex(),
+                )
+            )
+    _check_roots_agree(results)
+    pct = None
+    if TWO_PHASE in means and OBU in means:
+        pct = percent_decrease(means[TWO_PHASE], means[OBU])
+    for engine in config.engines():
+        report.aggregates.append(
+            _aggregate(
+                report.workload, k, config.depth, engine,
+                times_by_engine[engine], results[engine],
+                pct if engine == OBU else None,
+            )
+        )
+    return means, pct, tree
 
 
 def _aggregate(
     workload: str,
     k: int,
     depth: int,
-    threads: int,
     engine: str,
     times: list[int],
     result: BatchResult,
@@ -241,7 +271,6 @@ def _aggregate(
         workload=workload,
         k=k,
         depth=depth,
-        threads=threads,
         engine=engine,
         runs=len(times),
         mean_nanos=statistics.fmean(times),
@@ -271,12 +300,9 @@ def run_micro(config: BenchConfig) -> BenchReport:
     config.validate()
     if config.micro_workload is None:
         raise BenchConfigError("micro benchmark needs a workload")
-    threads = _resolve_threads(config.threads)
-    engine_cfg = EngineConfig(threads=threads)
     report = BenchReport(
         kind="micro",
         workload=config.micro_workload,
-        threads=threads,
         environment=_environment_note(),
     )
     pct_by_k = {}
@@ -285,35 +311,9 @@ def run_micro(config: BenchConfig) -> BenchReport:
         base = gen(config.depth)
         if needs_population and ops:
             batch_update(base, setup_inserts(ops, seed=config.seed + 1))
-        means: dict[str, float] = {}
-        results: dict[str, BatchResult] = {}
-        times_by_engine: dict[str, list[int]] = {}
-        for engine in config.engines():
-            times, result = _timed_runs(base, ops, engine, engine_cfg, config.runs)
-            times_by_engine[engine] = times
-            results[engine] = result
-            means[engine] = statistics.fmean(times)
-            for run, wall in enumerate(times, start=1):
-                report.rows.append(
-                    RunRecord(
-                        config.micro_workload, k, config.depth, threads, engine, run,
-                        wall, result.counters.node_visits,
-                        result.counters.hash_invocations, result.new_root.hex(),
-                    )
-                )
-        _check_roots_agree(results)
-        pct = None
-        if TWO_PHASE in means and OBU in means:
-            pct = percent_decrease(means[TWO_PHASE], means[OBU])
+        _, pct, _ = _bench_point(report, config, k, base, ops)
+        if pct is not None:
             pct_by_k[k] = pct
-        for engine in config.engines():
-            report.aggregates.append(
-                _aggregate(
-                    config.micro_workload, k, config.depth, threads, engine,
-                    times_by_engine[engine], results[engine],
-                    pct if engine == OBU else None,
-                )
-            )
     report.stats = {"percent_decrease_by_k": pct_by_k}
     return report
 
@@ -352,11 +352,8 @@ def run_macro(config: BenchConfig) -> BenchReport:
         blocks = filter_transfer_swap(blocks)
         if not blocks:
             raise BenchConfigError("filter removed every transaction from the trace")
-    threads = _resolve_threads(config.threads)
-    engine_cfg = EngineConfig(threads=threads)
-    workload = f"macro-{config.filter_mode}"
     report = BenchReport(
-        kind="macro", workload=workload, threads=threads,
+        kind="macro", workload=f"macro-{config.filter_mode}",
         environment=_environment_note(),
     )
 
@@ -372,39 +369,10 @@ def run_macro(config: BenchConfig) -> BenchReport:
     percents: list[float] = []
     reductions_ns: list[float] = []
     for block, ops in replay_blocks(blocks, book):
-        means: dict[str, float] = {}
-        results: dict[str, BatchResult] = {}
-        times_by_engine: dict[str, list[int]] = {}
-        for engine in config.engines():
-            times, result = _timed_runs(tree, ops, engine, engine_cfg, config.runs)
-            times_by_engine[engine] = times
-            results[engine] = result
-            means[engine] = statistics.fmean(times)
-            for run, wall in enumerate(times, start=1):
-                report.rows.append(
-                    RunRecord(
-                        workload, block.block_number, config.depth, threads, engine,
-                        run, wall, result.counters.node_visits,
-                        result.counters.hash_invocations, result.new_root.hex(),
-                    )
-                )
-        _check_roots_agree(results)
-        pct = None
-        if TWO_PHASE in means and OBU in means:
-            pct = percent_decrease(means[TWO_PHASE], means[OBU])
+        means, pct, tree = _bench_point(report, config, block.block_number, tree, ops)
+        if pct is not None:
             percents.append(pct)
             reductions_ns.append(means[TWO_PHASE] - means[OBU])
-        for engine in config.engines():
-            report.aggregates.append(
-                _aggregate(
-                    workload, block.block_number, config.depth, threads, engine,
-                    times_by_engine[engine], results[engine],
-                    pct if engine == OBU else None,
-                )
-            )
-        advanced = tree.clone()
-        batch_update(advanced, ops)
-        tree = advanced
 
     report.stats = {"blocks": len(blocks)}
     if percents:

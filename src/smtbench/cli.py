@@ -23,21 +23,8 @@ from .bench import (
     run_micro,
     stats_path,
 )
-from .batch import MAX_THREADS
 from .smt_core import SmtError
 from .workload import TraceParseError, TraceValidationError
-
-
-def _parse_threads(raw: str) -> int | str:
-    if raw == "auto":
-        return raw
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"threads must be an integer or 'auto', got {raw!r}")
-    if not 1 <= value <= MAX_THREADS:
-        raise argparse.ArgumentTypeError(f"threads must be in [1, {MAX_THREADS}], got {value}")
-    return value
 
 
 def _parse_k_sweep(raw: str) -> tuple[int, ...]:
@@ -52,8 +39,6 @@ def _parse_k_sweep(raw: str) -> tuple[int, ...]:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--depth", type=int, default=24, help="tree depth (default 24)")
-    sub.add_argument("--threads", type=_parse_threads, default="auto",
-                     help="worker threads, or 'auto' for one per hardware thread")
     sub.add_argument("--runs", type=int, default=10, help="timed runs per engine (default 10)")
     sub.add_argument("--seed", type=int, default=2024, help="workload seed")
     sub.add_argument("--engine", choices=["obu", "two-phase", "both"], default="both")
@@ -98,7 +83,7 @@ def _write_report(report, out: str) -> None:
 
 def _cmd_micro(args: argparse.Namespace) -> int:
     config = BenchConfig(
-        engine=args.engine, depth=args.depth, threads=args.threads, runs=args.runs,
+        engine=args.engine, depth=args.depth, runs=args.runs,
         seed=args.seed, micro_workload=args.workload, k_sweep=args.k_sweep,
     )
     report = run_micro(config)
@@ -110,7 +95,7 @@ def _cmd_micro(args: argparse.Namespace) -> int:
 
 def _cmd_macro(args: argparse.Namespace) -> int:
     config = BenchConfig(
-        engine=args.engine, depth=args.depth, threads=args.threads, runs=args.runs,
+        engine=args.engine, depth=args.depth, runs=args.runs,
         seed=args.seed, trace_path=args.trace, filter_mode=args.filter,
     )
     report = run_macro(config)

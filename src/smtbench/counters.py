@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 @dataclass
 class CounterSet:
-    """Work counters for one engine run.
+    """Work counters for one engine run, written only by the engine that
+    owns them.
 
     node_visits follows the library's visit convention: one visit is one
     cache lookup-or-write on a node index performed by the operation's own
@@ -23,12 +24,3 @@ class CounterSet:
     leaf_phase_nanos: int = 0
     hash_phase_nanos: int = 0
     levels_processed: int = 0
-
-    def merge(self, other: "CounterSet") -> None:
-        """Fold a worker-local counter set in at a barrier or join point."""
-        self.node_visits += other.node_visits
-        self.hash_invocations += other.hash_invocations
-        self.leaf_phase_visits += other.leaf_phase_visits
-        self.leaf_phase_nanos += other.leaf_phase_nanos
-        self.hash_phase_nanos += other.hash_phase_nanos
-        self.levels_processed += other.levels_processed

@@ -1,18 +1,12 @@
-import os
 import random
-import sys
 
 import pytest
 
 from smtbench.batch import (
-    MAX_THREADS,
     OBU,
     TWO_PHASE,
     BatchPreconditionError,
-    EngineConfig,
-    _pair_cuts,
     batch_update,
-    set_parallelism,
     two_phase_update,
 )
 from smtbench.smt_core import LeafOperation, check_consistency, gen, level_of
@@ -151,19 +145,24 @@ def assert_sweep_matches_oracles(depth, initial, ops, result):
     assert result.new_root == naive_root(depth, final_leaves(initial, ops))
 
 
+# 65 leaves: lone left children around the pair 64/65, which sits at the
+# midpoint of the touched list.
+_PAIR_AMID_LONE_LEFTS = list(range(0, 64, 2)) + [64, 65] + list(range(68, 130, 2))
+
+
 @pytest.mark.parametrize(
-    "indices",
-    [[4], [5], [4, 5], [0, 3, 4, 5, 6, 15]],
-    ids=["left-only", "right-only", "both-dirty", "mixed"],
+    "depth, indices",
+    [(4, [4]), (4, [5]), (4, [4, 5]), (4, [0, 3, 4, 5, 6, 15]), (8, _PAIR_AMID_LONE_LEFTS)],
+    ids=["left-only", "right-only", "both-dirty", "mixed", "pair-amid-lone-lefts"],
 )
-def test_sweep_sibling_cases(indices):
+def test_sweep_sibling_cases(depth, indices):
     # Every leaf is present, so a lone child's clean sibling is a real digest
     # that the sweep must read from the cache, not a default.
-    initial = {i: b"v" + bytes([i]) for i in range(16)}
-    tree = populated(4, initial)
+    initial = {i: b"v" + bytes([i % 256]) for i in range(1 << depth)}
+    tree = populated(depth, initial)
     ops = updates(indices)
     result = batch_update(tree, ops)
-    assert_sweep_matches_oracles(4, initial, ops, result)
+    assert_sweep_matches_oracles(depth, initial, ops, result)
     check_consistency(tree)
 
 
@@ -178,48 +177,6 @@ def test_removals_prune_subtree_to_defaults(engine):
     assert result.new_root == naive_root(depth, {40: b"new"})
     if engine is batch_update:
         assert_sweep_matches_oracles(depth, initial, ops, result)
-
-
-def test_threaded_cut_keeps_sibling_pairs_together():
-    # 65 touched leaves on two threads: the even cut at position 33 falls
-    # between leaves 64 and 65, so the chunk boundary must move past 65.
-    depth = 8
-    indices = list(range(0, 64, 2)) + [64, 65] + list(range(68, 130, 2))
-    initial = {i: bytes([i]) for i in indices}
-    ops = updates(indices, tag=b"t")
-    leaves = sorted((1 << depth) + i for i in indices)
-    assert _pair_cuts(leaves, 2) == [0, 34, 65]
-    base = populated(depth, initial)
-    reference = batch_update(base.clone(), ops, EngineConfig(threads=1))
-    threaded_tree = base.clone()
-    threaded = batch_update(threaded_tree, ops, EngineConfig(threads=2))
-    assert_sweep_matches_oracles(depth, initial, ops, threaded)
-    assert threaded.level_work_lists == reference.level_work_lists
-    assert threaded.new_root == reference.new_root
-    assert threaded.counters.node_visits == reference.counters.node_visits
-    assert threaded.counters.hash_invocations == reference.counters.hash_invocations
-    check_consistency(threaded_tree)
-
-
-def test_threaded_sweep_under_fast_switching():
-    # More workers than cores and a tiny switch interval: a lost or torn
-    # cache write from any chunk would change the root or the final cache.
-    depth, k = 12, 900
-    base = populated(depth, {i: bytes([i % 256]) for i in range(0, 2 * k, 2)})
-    ops = updates(range(0, 2 * k, 2), tag=b"s")
-    ops += [LeafOperation.insert(i, b"n") for i in range(1, 600, 2)]
-    reference_tree = base.clone()
-    reference = batch_update(reference_tree, ops)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (3, 8):
-            tree = base.clone()
-            result = batch_update(tree, ops, EngineConfig(threads=threads))
-            assert result.new_root == reference.new_root
-            assert tree.cache == reference_tree.cache
-    finally:
-        sys.setswitchinterval(interval)
 
 
 # -- batch composition ----------------------------------------------------------------
@@ -303,65 +260,19 @@ def test_rollback_covers_materialised_ancestors():
     assert tree.leaf_values == {}
 
 
-# -- parallelism ------------------------------------------------------------------------
+# -- wide levels ---------------------------------------------------------------------
 
 
-def test_set_parallelism():
-    config = EngineConfig()
-    assert set_parallelism(config, 4).threads == 4
-    assert set_parallelism(config, "auto").threads == min(os.cpu_count() or 1, MAX_THREADS)
-    assert set_parallelism(config, None).threads == min(os.cpu_count() or 1, MAX_THREADS)
-    with pytest.raises(ValueError):
-        set_parallelism(config, 0)
-
-
-def test_thread_count_is_bounded():
-    # Validation only: no engine runs, so no thread starts.
-    assert MAX_THREADS == 64
-    assert EngineConfig(threads=MAX_THREADS).threads == MAX_THREADS
-    for bad in (0, MAX_THREADS + 1, 10**6):
-        with pytest.raises(ValueError, match="64"):
-            EngineConfig(threads=bad)
-        with pytest.raises(ValueError, match="64"):
-            set_parallelism(EngineConfig(), bad)
-
-
-def test_parallel_determinism_small_batches():
-    rng = random.Random(31)
-    for _ in range(20):
-        depth = rng.randrange(2, 8)
-        initial, ops = random_case(rng, depth)
-        base = populated(depth, initial)
-        outputs = []
-        for threads in (1, 4):
-            for engine in ENGINES:
-                result = engine(base.clone(), ops, EngineConfig(threads=threads))
-                outputs.append(
-                    (
-                        engine.__name__,
-                        result.new_root,
-                        result.counters.node_visits,
-                        result.counters.hash_invocations,
-                        result.counters.levels_processed,
-                        result.level_work_lists,
-                    )
-                )
-        assert outputs[:2] == outputs[2:]
-
-
-def test_parallel_determinism_wide_levels():
-    # Wide enough that the one-phase engine actually dispatches to the pool.
+def test_wide_levels_engines_agree():
+    # 700 adjacent leaves: long runs of sibling pairs on every level.
     depth, k = 12, 700
-    base = gen(depth)
-    base.commit({i: bytes([i % 256]) for i in range(k)})
+    initial = {i: bytes([i % 256]) for i in range(k)}
+    base = populated(depth, initial)
     ops = updates(range(k), tag=b"z")
-    reference = batch_update(base.clone(), ops, EngineConfig(threads=1))
-    for threads in (2, 4):
-        result = batch_update(base.clone(), ops, EngineConfig(threads=threads))
-        assert result.new_root == reference.new_root
-        assert result.counters.node_visits == reference.counters.node_visits
-        assert result.counters.hash_invocations == reference.counters.hash_invocations
-        assert result.level_work_lists == reference.level_work_lists
-    forked = two_phase_update(base.clone(), ops, EngineConfig(threads=4))
-    assert forked.new_root == reference.new_root
-    assert forked.counters.hash_invocations == reference.counters.hash_invocations
+    obu_tree, two_tree = base.clone(), base.clone()
+    r_obu = batch_update(obu_tree, ops)
+    r_two = two_phase_update(two_tree, ops)
+    assert r_obu.new_root == r_two.new_root
+    assert r_obu.counters.hash_invocations == r_two.counters.hash_invocations
+    assert obu_tree.cache == two_tree.cache
+    assert_sweep_matches_oracles(depth, initial, ops, r_obu)

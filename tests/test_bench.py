@@ -6,6 +6,7 @@ import pytest
 from smtbench.bench import (
     AGGREGATE_COLUMNS,
     RUN_COLUMNS,
+    SCHEMA_VERSION,
     BenchConfig,
     BenchConfigError,
     UndefinedMetricError,
@@ -16,6 +17,7 @@ from smtbench.bench import (
     run_micro,
     stats_path,
 )
+from smtbench.smt_core import SparseMerkleTree
 
 
 def read_csv(path):
@@ -67,7 +69,7 @@ def test_config_rejects_bad_values():
 @pytest.fixture(scope="module")
 def micro_report():
     config = BenchConfig(
-        micro_workload="seq-update", k_sweep=(4, 16), depth=8, threads=1, runs=3, seed=5
+        micro_workload="seq-update", k_sweep=(4, 16), depth=8, runs=3, seed=5
     )
     return run_micro(config)
 
@@ -116,7 +118,7 @@ def test_micro_csv_schema(micro_report, tmp_path):
 
 def test_micro_single_engine_has_no_percent():
     config = BenchConfig(
-        engine="obu", micro_workload="seq-insert", k_sweep=(8,), depth=8, threads=1, runs=2
+        engine="obu", micro_workload="seq-insert", k_sweep=(8,), depth=8, runs=2
     )
     report = run_micro(config)
     assert len(report.rows) == 2
@@ -127,7 +129,7 @@ def test_micro_single_engine_has_no_percent():
 def test_micro_rand_update_and_insert_workloads_run():
     for workload in ("rand-update", "seq-insert"):
         config = BenchConfig(
-            micro_workload=workload, k_sweep=(6,), depth=8, threads=1, runs=2, seed=3
+            micro_workload=workload, k_sweep=(6,), depth=8, runs=2, seed=3
         )
         report = run_micro(config)
         roots = {row.root_hex for row in report.rows}
@@ -145,7 +147,7 @@ def small_trace(tmp_path_factory):
 
 
 def test_macro_report_shape(small_trace):
-    config = BenchConfig(trace_path=small_trace, depth=10, threads=1, runs=2)
+    config = BenchConfig(trace_path=small_trace, depth=10, runs=2)
     report = run_macro(config)
     assert report.stats["blocks"] == 4
     # per block: 2 engines x 2 runs
@@ -159,7 +161,7 @@ def test_macro_report_shape(small_trace):
 
 
 def test_macro_roots_agree_per_block(small_trace):
-    config = BenchConfig(trace_path=small_trace, depth=10, threads=1, runs=2)
+    config = BenchConfig(trace_path=small_trace, depth=10, runs=2)
     report = run_macro(config)
     for block in (1, 2, 3, 4):
         roots = {row.root_hex for row in report.rows if row.k == block}
@@ -170,16 +172,34 @@ def test_macro_roots_agree_per_block(small_trace):
 
 def test_macro_filter_mode(small_trace, tmp_path):
     config = BenchConfig(
-        trace_path=small_trace, depth=10, threads=1, runs=1, filter_mode="transfer-swap"
+        trace_path=small_trace, depth=10, runs=1, filter_mode="transfer-swap"
     )
     report = run_macro(config)
     assert report.workload == "macro-transfer-swap"
     out = tmp_path / "macro.csv"
     report.write_stats_json(stats_path(out))
     doc = json.loads(stats_path(out).read_text())
+    assert doc["schema_version"] == SCHEMA_VERSION == 2
+    assert "threads" not in doc
     assert doc["kind"] == "macro"
     assert doc["stats"]["blocks"] == 4
     assert "environment" in doc
+
+
+def test_macro_clones_only_for_timed_runs(small_trace, monkeypatch):
+    # Each block clones once per timed or warm-up run and advances to the
+    # tree its last run left, without a further clone and engine call.
+    clones = []
+    clone = SparseMerkleTree.clone
+
+    def counting_clone(tree):
+        clones.append(tree)
+        return clone(tree)
+
+    monkeypatch.setattr(SparseMerkleTree, "clone", counting_clone)
+    report = run_macro(BenchConfig(trace_path=small_trace, depth=10, runs=2))
+    assert report.stats["blocks"] == 4
+    assert len(clones) == 4 * 2 * (2 + 1)
 
 
 def test_macro_rejects_trace_without_transfers(tmp_path):

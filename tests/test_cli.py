@@ -26,7 +26,7 @@ def test_micro_subcommand(tmp_path):
     out = tmp_path / "micro.csv"
     proc = run_cli(
         "micro", "--workload", "seq-update", "--k-sweep", "3,9", "--depth", "8",
-        "--threads", "1", "--runs", "2", "--seed", "11", "--out", str(out),
+        "--runs", "2", "--seed", "11", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     assert read_header(out) == RUN_COLUMNS
@@ -39,7 +39,7 @@ def test_macro_subcommand(tmp_path, repo_root):
     proc = run_cli(
         "macro", "--trace", str(repo_root / "traces" / "hot_account.json"),
         "--filter", "all", "--engine", "both", "--depth", "12",
-        "--threads", "2", "--runs", "2", "--out", str(out),
+        "--runs", "2", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     assert read_header(out) == RUN_COLUMNS
@@ -82,13 +82,14 @@ def test_bad_k_sweep_exits_one(tmp_path):
     ]) == 1
 
 
-def test_threads_above_limit_exits_one(tmp_path, capsys):
-    # Validation only: the value is rejected before any thread starts.
+def test_threads_option_is_rejected(tmp_path, capsys):
+    # The engines run on one thread; the old knob is now a usage error.
     assert main([
-        "micro", "--workload", "seq-update", "--threads", str(10**6),
+        "micro", "--workload", "seq-update", "--threads", "1",
         "--out", str(tmp_path / "x.csv"),
     ]) == 1
-    assert "[1, 64]" in capsys.readouterr().err
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_help_exits_zero():
@@ -98,7 +99,7 @@ def test_help_exits_zero():
 def test_unwritable_out_is_io_error(tmp_path):
     proc = run_cli(
         "micro", "--workload", "seq-update", "--k-sweep", "2", "--depth", "6",
-        "--runs", "1", "--threads", "1",
+        "--runs", "1",
         "--out", str(tmp_path / "missing_dir" / "x.csv"),
     )
     assert proc.returncode == 2
@@ -108,7 +109,7 @@ def test_single_engine_cli(tmp_path):
     out = tmp_path / "obu.csv"
     proc = run_cli(
         "micro", "--workload", "seq-insert", "--k-sweep", "4", "--depth", "6",
-        "--runs", "1", "--threads", "1", "--engine", "obu", "--out", str(out),
+        "--runs", "1", "--engine", "obu", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:
@@ -121,7 +122,7 @@ def test_macro_replay_error_names_block_and_tx(tmp_path, repo_root):
     # error must say where, not only which account.
     proc = run_cli(
         "macro", "--trace", str(repo_root / "traces" / "synthetic_100blocks.json"),
-        "--runs", "1", "--threads", "1", "--out", str(tmp_path / "o.csv"),
+        "--runs", "1", "--out", str(tmp_path / "o.csv"),
     )
     assert proc.returncode == 1
     assert "error: block 11 tx 21 (Swap): account 2207 token 2: 0 + -487 < 0" in proc.stderr
