@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; a pytest failure is the FAIL line for its criterion. C06 (determinism
-across thread counts) was retired with the engines' worker threads.
+lines; a pytest failure is the FAIL line for its criterion. C06 checks
+run-to-run determinism; it no longer compares thread counts, since both engines
+run on the calling thread.
 """
 
 import csv
@@ -127,6 +128,47 @@ def test_c05_worked_example_schedule():
     assert result.level_work_lists == [[4, 5, 7], [2, 3], [1]]
     assert result.new_root == naive_root(2, final_leaves(initial, ops))
     report("C5", "work lists [{4,5,7},{2,3},{1}] with oracle-equal root")
+
+
+def test_c06_run_to_run_determinism():
+    """100 random batches, each engine run twice on clones of one tree:
+    identical roots, counters, and schedules, and the source tree untouched."""
+    rng = random.Random(0xC6)
+    started = time.monotonic()
+    for case in range(100):
+        if case % 10 == 0:
+            # wide batches: long runs of sibling pairs on every level
+            depth = 12
+            k = rng.randrange(256, 600)
+            initial = {i: bytes([i % 256]) for i in range(k)}
+            ops = [LeafOperation.update(i, rng.randbytes(8)) for i in range(k)]
+        else:
+            depth = rng.randrange(2, 9)
+            initial, ops = random_case(rng, depth)
+        base = populated(depth, initial)
+        base_root, base_cache = base.root(), dict(base.cache)
+        seen = []
+        for _ in range(2):
+            r_obu = batch_update(base.clone(), ops)
+            r_two = two_phase_update(base.clone(), ops)
+            seen.append(
+                (
+                    r_obu.new_root,
+                    r_obu.counters.node_visits,
+                    r_obu.counters.hash_invocations,
+                    r_obu.counters.levels_processed,
+                    r_obu.level_work_lists,
+                    r_two.new_root,
+                    r_two.counters.node_visits,
+                    r_two.counters.hash_invocations,
+                )
+            )
+        assert seen[0] == seen[1], f"case {case}"
+        assert seen[0][0] == seen[0][5], f"case {case}"
+        assert base.root() == base_root and base.cache == base_cache, f"case {case}"
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0, f"took {elapsed:.1f}s"
+    report("C6", f"100 batches repeat identically on clones in {elapsed:.1f}s")
 
 
 def test_c07_proof_round_trip():

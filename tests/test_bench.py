@@ -116,6 +116,20 @@ def test_micro_csv_schema(micro_report, tmp_path):
     assert stats_path(out).name == "report_stats.json"
 
 
+def test_schema_v2_columns():
+    # Schema version 2 is version 1 without the threads column.
+    assert SCHEMA_VERSION == 2
+    assert RUN_COLUMNS == (
+        "workload", "k", "depth", "engine", "run",
+        "wall_nanos", "node_visits", "hash_invocations", "root_hex",
+    )
+    assert AGGREGATE_COLUMNS == (
+        "workload", "k", "depth", "engine", "runs",
+        "mean_nanos", "median_nanos", "stddev_nanos",
+        "node_visits", "hash_invocations", "root_hex", "percent_decrease",
+    )
+
+
 def test_micro_single_engine_has_no_percent():
     config = BenchConfig(
         engine="obu", micro_workload="seq-insert", k_sweep=(8,), depth=8, runs=2
