@@ -6,8 +6,6 @@ from .account_model import (
     Account,
     AccountCodecError,
     InsufficientBalanceError,
-    TxEffect,
-    apply_tx_effect,
     decode_account,
     encode_account,
 )

@@ -49,17 +49,6 @@ class Account:
     balances: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TxEffect:
-    """One account's share of a transaction: a balance delta, an optional
-    nonce bump (sender side), and an optional key rotation."""
-
-    token_id: int
-    delta: int = 0
-    bump_nonce: bool = False
-    new_pubkey_hash: bytes | None = None
-
-
 def encode_account(account: Account) -> bytes:
     """Canonical payload bytes: nonce, pubkey hash, then sorted balances."""
     pubkey_hash = account.pubkey_hash
@@ -146,11 +135,4 @@ def apply_delta(
         account.nonce + 1 if bump_nonce else account.nonce,
         new_pubkey_hash or account.pubkey_hash,
         balances,
-    )
-
-
-def apply_tx_effect(account: Account, effect: TxEffect) -> Account:
-    """New account with the effect applied; zeroed balances drop their key."""
-    return apply_delta(
-        account, effect.token_id, effect.delta, effect.bump_nonce, effect.new_pubkey_hash
     )

@@ -273,8 +273,11 @@ def gen(depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> SparseMerkleTree:
 def load_snapshot(
     text: str, depth: int, scheme: HashScheme = DEFAULT_SCHEME
 ) -> SparseMerkleTree:
-    """Rebuild a tree from `export_snapshot` output."""
+    """Rebuild a tree from `export_snapshot` output. Every node index must lie
+    in `[1, 2^(depth+1))`, every leaf index in `[0, 2^depth)`, and every digest
+    must be `scheme.digest_size` bytes."""
     tree = SparseMerkleTree(depth, scheme)
+    capacity, size = 1 << depth, scheme.digest_size
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
@@ -286,11 +289,19 @@ def load_snapshot(
                     parts.append("")
                 if len(parts) != 3:
                     raise ValueError("expected 'L <index> <hex>'")
-                tree.leaf_values[int(parts[1])] = bytes.fromhex(parts[2])
+                index = int(parts[1])
+                if not 0 <= index < capacity:
+                    raise ValueError(f"leaf index {index} outside [0, 2^{depth})")
+                tree.leaf_values[index] = bytes.fromhex(parts[2])
             else:
                 if len(parts) != 2:
                     raise ValueError("expected '<index> <hex>'")
-                tree.cache[int(parts[0])] = bytes.fromhex(parts[1])
+                index, digest = int(parts[0]), bytes.fromhex(parts[1])
+                if not 1 <= index < 2 * capacity:
+                    raise ValueError(f"node index {index} outside [1, 2^{depth + 1})")
+                if len(digest) != size:
+                    raise ValueError(f"digest is {len(digest)} bytes, expected {size}")
+                tree.cache[index] = digest
         except ValueError as exc:
             raise SnapshotFormatError(f"snapshot line {lineno}: {exc}") from exc
     return tree

@@ -242,48 +242,30 @@ def replay_blocks(
 def required_preseed(blocks: Iterable[BlockTrace]) -> tuple[set[int], set[int]]:
     """Scan a trace for (accounts that must exist before replay, token ids used).
 
-    Walks transactions in order tracking in-trace creations and removals, so
-    only genuinely pre-existing references end up in the pre-seed set.
+    Walks every transaction's steps from `TX_STEPS` in order, tracking which
+    accounts exist. An account that an UPDATE, ROTATE or REMOVE step meets
+    before the trace has created or removed it must pre-exist. INSERT and
+    UPSERT create accounts, so a Deposit to an unseen account creates it.
     """
     preseed: set[int] = set()
-    created: set[int] = set()
-    removed: set[int] = set()
     tokens: set[int] = set()
-
-    def need(index: int) -> None:
-        if index in removed:
-            raise TraceValidationError(f"account {index} referenced after removal")
-        if index not in created and index not in preseed:
-            preseed.add(index)
-
+    exists: dict[int, bool] = {}  # account seen so far -> present now
     for block in blocks:
         for tx in block.txs:
             tokens.add(tx.token_id)
-            kind = tx.tx_type
-            if kind in (TxType.TRANSFER, TxType.SWAP, TxType.WITHDRAW_NFT, TxType.MINT_NFT):
-                need(tx.from_account)
-                need(tx.to_account)
-            elif kind is TxType.TRANSFER_TO_NEW:
-                need(tx.from_account)
-                if tx.to_account in created or tx.to_account in preseed:
+            for role, action, _, _ in TX_STEPS[tx.tx_type]:
+                index = tx.from_account if role == FROM else tx.to_account
+                present = exists.get(index)
+                if action == INSERT and present:
                     raise TraceValidationError(
-                        f"TransferToNew target {tx.to_account} already exists"
+                        f"{tx.tx_type.value} target {index} already exists"
                     )
-                created.add(tx.to_account)
-                removed.discard(tx.to_account)
-            elif kind in (TxType.WITHDRAW, TxType.CHANGE_PUBKEY):
-                need(tx.from_account)
-            elif kind in (TxType.FORCED_EXIT, TxType.FULL_EXIT):
-                need(tx.from_account)
-                need(tx.to_account)
-                created.discard(tx.to_account)
-                removed.add(tx.to_account)
-            elif kind is TxType.DEPOSIT:
-                if tx.to_account in removed or (
-                    tx.to_account not in created and tx.to_account not in preseed
-                ):
-                    created.add(tx.to_account)
-                    removed.discard(tx.to_account)
+                if action in (UPDATE, ROTATE, REMOVE):
+                    if present is False:
+                        raise TraceValidationError(f"account {index} referenced after removal")
+                    if present is None:
+                        preseed.add(index)
+                exists[index] = action != REMOVE
     return preseed, tokens
 
 
@@ -455,6 +437,11 @@ def gen_synthetic_blocks(
     and account-reuse rate (the avg_tx_per_account knob sets the participant
     pool size). Priority transactions respect block sealing: at most one per
     block, always in the final slot.
+
+    About half the sealing Deposits credit an existing account: the sender of
+    a transaction drawn from earlier in the same block, so the trace itself
+    shows that the account exists. The rest, and any Deposit that seals a
+    block with no earlier transaction, create a fresh account above the pool.
     """
     rng = random.Random(seed)
     sizes = _block_sizes(rng, blocks, total_txs, min_block, max_block)
@@ -494,8 +481,8 @@ def gen_synthetic_blocks(
             else:  # ChangePubKey
                 txs.append(TxRecord(kind, participant(), None, token, 0))
         if seal_with_deposit:
-            if rng.random() < 0.5:
-                target = participant()
+            if rng.random() < 0.5 and txs:
+                target = txs[participant() % len(txs)].from_account
             else:
                 target = fresh_cursor
                 fresh_cursor += 1

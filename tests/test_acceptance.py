@@ -275,8 +275,12 @@ def test_c10_cli_contract(tmp_path, repo_root):
         "macro", "--trace", str(bundled), "--filter", "transfer-swap",
         "--engine", "both", "--runs", "3", "--out", str(macro_out),
     )
+    unfiltered_out = tmp_path / "unfiltered.csv"
+    cli("macro", "--trace", str(bundled), "--runs", "1", "--out", str(unfiltered_out))
 
-    for out, expect_rows in ((micro_out, 3 * 2 * 10), (macro_out, None)):
+    for out, expect_rows in (
+        (micro_out, 3 * 2 * 10), (macro_out, None), (unfiltered_out, None)
+    ):
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == RUN_COLUMNS

@@ -7,8 +7,7 @@ from smtbench.account_model import (
     Account,
     AccountCodecError,
     InsufficientBalanceError,
-    TxEffect,
-    apply_tx_effect,
+    apply_delta,
     decode_account,
     encode_account,
 )
@@ -138,7 +137,7 @@ def test_account_has_slots():
 
 def test_apply_effect_credit():
     account = Account(1)
-    credited = apply_tx_effect(account, TxEffect(0, +100))
+    credited = apply_delta(account, 0, +100)
     assert credited.balances == {0: 100}
     assert credited.nonce == 0
     assert account.balances == {}  # original untouched
@@ -146,25 +145,25 @@ def test_apply_effect_credit():
 
 def test_apply_effect_debit_then_credit_restores_balance():
     account = Account(1, 0, b"\x00" * 20, {0: 500})
-    mid = apply_tx_effect(account, TxEffect(0, -100, bump_nonce=True))
-    back = apply_tx_effect(mid, TxEffect(0, +100))
+    mid = apply_delta(account, 0, -100, bump_nonce=True)
+    back = apply_delta(mid, 0, +100)
     assert back.balances == account.balances
     assert back.nonce == 1
 
 
 def test_apply_effect_insufficient_balance():
     with pytest.raises(InsufficientBalanceError):
-        apply_tx_effect(Account(1), TxEffect(0, -1))
+        apply_delta(Account(1), 0, -1)
 
 
 def test_apply_effect_drops_zeroed_balance():
     account = Account(1, 0, b"\x00" * 20, {0: 5})
-    drained = apply_tx_effect(account, TxEffect(0, -5))
+    drained = apply_delta(account, 0, -5)
     assert drained.balances == {}
 
 
 def test_apply_effect_rotates_pubkey():
-    rotated = apply_tx_effect(Account(1), TxEffect(0, 0, new_pubkey_hash=b"\x09" * 20))
+    rotated = apply_delta(Account(1), 0, 0, new_pubkey_hash=b"\x09" * 20)
     assert rotated.pubkey_hash == b"\x09" * 20
 
 

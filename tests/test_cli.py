@@ -117,12 +117,16 @@ def test_single_engine_cli(tmp_path):
     assert {row["engine"] for row in rows} == {"obu"}
 
 
-def test_macro_replay_error_names_block_and_tx(tmp_path, repo_root):
-    # The unfiltered synthetic trace still hits the pre-seed defect; the
-    # error must say where, not only which account.
-    proc = run_cli(
-        "macro", "--trace", str(repo_root / "traces" / "synthetic_100blocks.json"),
-        "--runs", "1", "--out", str(tmp_path / "o.csv"),
+def test_macro_replay_error_names_block_and_tx(tmp_path):
+    # A Deposit creates account 9 holding only token 0, so spending token 2
+    # underflows; the error must say where, not only which account.
+    trace = tmp_path / "underflow.json"
+    trace.write_text(
+        '{"blocks": [{"block_number": 3, "txs": ['
+        '{"type": "Transfer", "from": 1, "to": 2, "token": 2, "amount": "1"}, '
+        '{"type": "Deposit", "to": 9, "token": 0, "amount": "5"}, '
+        '{"type": "Swap", "from": 9, "to": 1, "token": 2, "amount": "7"}]}]}'
     )
+    proc = run_cli("macro", "--trace", str(trace), "--runs", "1", "--out", str(tmp_path / "o.csv"))
     assert proc.returncode == 1
-    assert "error: block 11 tx 21 (Swap): account 2207 token 2: 0 + -487 < 0" in proc.stderr
+    assert "error: block 3 tx 2 (Swap): account 9 token 2: 0 + -7 < 0" in proc.stderr

@@ -12,8 +12,6 @@ import pytest
 
 from smtbench.account_model import (
     Account,
-    AccountCodecError,
-    InsufficientBalanceError,
     decode_account,
     encode_account,
 )
@@ -33,8 +31,6 @@ from smtbench.workload import (
     tx_to_leaf_ops,
 )
 
-TX_ERRORS = (TraceValidationError, InsufficientBalanceError, AccountCodecError)
-
 
 def stream_digest(block_ops) -> str:
     digest = hashlib.sha256()
@@ -43,24 +39,6 @@ def stream_digest(block_ops) -> str:
             value = b"-" if op.value is None else op.value.hex().encode()
             digest.update(b"%s %d %s\n" % (op.kind.value.encode(), op.index, value))
     return digest.hexdigest()
-
-
-def replay_skipping(blocks, book):
-    """Replay that skips a transaction which raises, leaving the book as it
-    was, the way the benchmark's replay does."""
-    out, rejected = [], 0
-    for block in blocks:
-        ops = []
-        for tx in block.txs:
-            try:
-                tx_ops = tx_to_leaf_ops(tx, book)
-            except TX_ERRORS:
-                rejected += 1
-                continue
-            apply_leaf_ops(book, tx_ops)
-            ops.extend(tx_ops)
-        out.append(ops)
-    return out, rejected
 
 
 def root_after(book: AccountBook, block_ops) -> str:
@@ -74,36 +52,32 @@ def root_after(book: AccountBook, block_ops) -> str:
 
 
 @pytest.mark.parametrize(
-    "name,transfer_swap,skip,ops,rejected,stream,root",
+    "name,transfer_swap,op_count,stream,root",
     [
-        ("hot_account.json", False, False, 960, 0,
+        ("hot_account.json", False, 960,
          "625234f2d119c5f1c4432bfaf6d3ef4614c92c9727bea622adff0e986ff27d93",
          "98aaf1fd00137a52207ccb8b4fba27914386b53d3fde6fbeefaf54eafa8d0ffe"),
-        ("dispersed.json", False, False, 1660, 0,
+        ("dispersed.json", False, 1660,
          "d1af40e57ee7eca3509db848b827bf3639130acd2b313a1973a0a055358e29b5",
          "fe65a9da71fca411bfb211b0d96f8fa35c6c937c0ead19321f67c9ca261ee8a1"),
-        ("synthetic_100blocks.json", True, False, 11942, 0,
+        ("synthetic_100blocks.json", True, 11942,
          "1556c50a97c3cce2689bd328edd35a98e9c503d4663025ae2b30adf1da793b6e",
          "74206f306eabb90dafd21146678c10041d9a92663a115cfd106b7a0c0a2669ba"),
-        ("synthetic_100blocks.json", False, True, 15818, 13,
-         "20443ddd87ee6b8688af699b7ec65fafdec0db54deb218d49db32acfd15114e5",
-         "9af4865ea5b4db292e16df171d42859667f2a792ac82929b9fa4543002f51de4"),
+        ("synthetic_100blocks.json", False, 15844,
+         "4526f3bebb1f18aafa9c1a8aca8889d4e62cfaedb8f812dc708aabea51542199",
+         "ae157ebd6c2abd4eef39b9b4c9bc3e58b9e267b8fecfa3c77a075193aa54d678"),
     ],
 )
 def test_bundled_trace_op_stream_and_root_pinned(
-    repo_root, name, transfer_swap, skip, ops, rejected, stream, root
+    repo_root, name, transfer_swap, op_count, stream, root
 ):
     blocks = parse_block_trace(repo_root / "traces" / name)
     if transfer_swap:
         blocks = filter_transfer_swap(blocks)
     book = build_preseed_book(blocks)
     start = book.clone()
-    if skip:
-        block_ops, skipped = replay_skipping(blocks, book)
-    else:
-        block_ops, skipped = [ops for _, ops in replay_blocks(blocks, book)], 0
-    assert skipped == rejected
-    assert sum(map(len, block_ops)) == ops
+    block_ops = [ops for _, ops in replay_blocks(blocks, book)]
+    assert sum(map(len, block_ops)) == op_count
     assert stream_digest(block_ops) == stream
     assert root_after(start, block_ops) == root
 

@@ -276,6 +276,29 @@ def test_snapshot_rejects_garbage():
         load_snapshot("L x 61\n", 4)
 
 
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("1 abcd\n", r"snapshot line 1: digest is 2 bytes, expected 32"),
+        ("1 " + "00" * 32 + "\n999999999 " + "00" * 32 + "\n",
+         r"snapshot line 2: node index 999999999 outside \[1, 2\^9\)"),
+        ("0 " + "00" * 32 + "\n", r"snapshot line 1: node index 0 outside"),
+        ("L 255 00\nL 256 00\n", r"snapshot line 2: leaf index 256 outside \[0, 2\^8\)"),
+        ("L -1 00\n", r"snapshot line 1: leaf index -1 outside"),
+    ],
+)
+def test_snapshot_rejects_out_of_range_input(text, match):
+    with pytest.raises(SnapshotFormatError, match=match):
+        load_snapshot(text, 8)
+
+
+def test_snapshot_accepts_boundary_indices():
+    digest = "00" * 32
+    tree = load_snapshot(f"1 {digest}\n511 {digest}\nL 0 00\nL 255 00\n", 8)
+    assert set(tree.cache) == {1, 511}
+    assert set(tree.leaf_values) == {0, 255}
+
+
 def test_clone_is_independent():
     tree = build(4, {1: b"a"})
     copy = tree.clone()

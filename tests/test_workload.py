@@ -235,6 +235,58 @@ def test_reference_after_removal_rejected():
         required_preseed(blocks)
 
 
+def test_exited_account_can_be_recreated():
+    blocks = [
+        BlockTrace(1, (
+            TxRecord(TxType.FORCED_EXIT, 1, 2, 0, 0),
+            TxRecord(TxType.TRANSFER_TO_NEW, 1, 2, 0, 10),
+        )),
+    ]
+    assert required_preseed(blocks) == ({1, 2}, {0})
+    ops = replay_blocks(blocks, build_preseed_book(blocks))[0][1]
+    assert [(op.kind.value, op.index) for op in ops] == [
+        ("update", 1), ("remove", 2), ("update", 1), ("insert", 2)
+    ]
+
+
+def test_transfer_to_new_existing_target_rejected():
+    blocks = [
+        BlockTrace(1, (
+            TxRecord(TxType.TRANSFER_TO_NEW, 1, 2, 0, 1),
+            TxRecord(TxType.TRANSFER_TO_NEW, 1, 2, 0, 1),
+        )),
+    ]
+    with pytest.raises(TraceValidationError, match="TransferToNew target 2 already exists"):
+        required_preseed(blocks)
+
+
+def test_deposit_to_unseen_account_creates_it_with_one_token():
+    blocks = [
+        BlockTrace(1, (
+            TxRecord(TxType.DEPOSIT, None, 9, 0, 5),
+            TxRecord(TxType.SWAP, 9, 1, 2, 7),
+        )),
+    ]
+    assert required_preseed(blocks) == ({1}, {0, 2})
+    with pytest.raises(InsufficientBalanceError, match="account 9 token 2: 0 [+] -7 < 0"):
+        replay_blocks(blocks, build_preseed_book(blocks))
+
+
+@pytest.mark.parametrize("transfer_swap", [False, True])
+@pytest.mark.parametrize("name", ["hot_account.json", "dispersed.json", "synthetic_100blocks.json"])
+def test_bundled_trace_replays_under_every_filter(repo_root, name, transfer_swap):
+    blocks = parse_block_trace(repo_root / "traces" / name)
+    if transfer_swap:
+        blocks = filter_transfer_swap(blocks)
+    assert len(replay_blocks(blocks, build_preseed_book(blocks))) == len(blocks)
+
+
+def test_synthetic_traces_replay_without_rejection():
+    for seed in range(1, 41):
+        blocks = gen_synthetic_blocks(seed=seed)
+        replay_blocks(blocks, build_preseed_book(blocks))
+
+
 def test_build_preseed_book_funds_all_tokens():
     blocks = [
         BlockTrace(1, (
