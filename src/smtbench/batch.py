@@ -59,37 +59,33 @@ class BatchResult:
 
 # -- shared leaf-phase mechanics ---------------------------------------------
 
-# Journal entries: (kind, index, (old_value, old_digest) | None, created_keys | None)
-_Journal = list[tuple[OpKind, int, tuple[bytes, bytes] | None, list[int] | None]]
+# Undo records: (index, old_value, old_digest), both None when the leaf was absent.
+_Journal = list[tuple[int, bytes | None, bytes | None]]
 
 
 def _rollback(tree: SparseMerkleTree, journal: _Journal) -> None:
-    for kind, index, old, created in reversed(journal):
+    for index, value, digest in reversed(journal):
         heap = tree.leaf_heap_index(index)
-        if kind is OpKind.INSERT:
+        if value is None:
             del tree.leaf_values[index]
-            for node in created:
-                tree.cache.pop(node, None)
+            del tree.cache[heap]
         else:
-            value, digest = old
             tree.leaf_values[index] = value
             tree.cache[heap] = digest
 
 
 def _journaled(tree: SparseMerkleTree, op: LeafOperation, journal: _Journal) -> None:
-    """Apply one op through the counting primitives, recording undo state."""
+    """Apply one op through the counting primitives, recording undo state.
+    Each primitive raises before mutating."""
+    index = op.index
+    undo = (index, tree.leaf_values.get(index), tree.cache.get(tree.leaf_heap_index(index)))
     if op.kind is OpKind.INSERT:
-        created = tree.insert_leaf(op.index, op.value)
-        journal.append((OpKind.INSERT, op.index, None, created))
-        return
-    old_value = tree.leaf_values.get(op.index)
-    old_digest = tree.cache.get(tree.leaf_heap_index(op.index))
-    if op.kind is OpKind.UPDATE:
-        tree.update_leaf(op.index, op.value)  # raises before mutating
-        journal.append((OpKind.UPDATE, op.index, (old_value, old_digest), None))
+        tree.insert_leaf(index, op.value)
+    elif op.kind is OpKind.UPDATE:
+        tree.update_leaf(index, op.value)
     else:
-        tree.remove_leaf(op.index)
-        journal.append((OpKind.REMOVE, op.index, (old_value, old_digest), None))
+        tree.remove_leaf(index)
+    journal.append(undo)
 
 
 # -- one-phase batch update ----------------------------------------------------
@@ -213,28 +209,23 @@ def _two_phase_apply(
     """Mutate one leaf the baseline way: validate, charge the root-to-leaf
     traversal, write directly (bypassing the O(1) primitives and their
     counter charges)."""
-    heap = tree.leaf_heap_index(op.index)
+    index = op.index
+    old_value = tree.leaf_values.get(index)
     if op.kind is OpKind.INSERT:
-        tree.check_range(op.index)
-        if op.index in tree.leaf_values:
-            raise DuplicateLeafError(f"leaf {op.index} already present")
-        counters.node_visits += tree.depth
-        tree.leaf_values[op.index] = op.value
-        tree.cache[heap] = tree.scheme.hasher.leaf(op.value)
-        journal.append((OpKind.INSERT, op.index, None, [heap]))
-        return
-    if op.index not in tree.leaf_values:
-        raise MissingLeafError(f"leaf {op.index} not present")
+        tree.check_range(index)
+        if old_value is not None:
+            raise DuplicateLeafError(f"leaf {index} already present")
+    elif old_value is None:
+        raise MissingLeafError(f"leaf {index} not present")
     counters.node_visits += tree.depth
-    old = (tree.leaf_values[op.index], tree.cache[heap])
-    if op.kind is OpKind.UPDATE:
-        tree.leaf_values[op.index] = op.value
-        tree.cache[heap] = tree.scheme.hasher.leaf(op.value)
-        journal.append((OpKind.UPDATE, op.index, old, None))
-    else:
-        del tree.leaf_values[op.index]
+    heap = tree.leaf_heap_index(index)
+    journal.append((index, old_value, tree.cache.get(heap)))
+    if op.kind is OpKind.REMOVE:
+        del tree.leaf_values[index]
         del tree.cache[heap]
-        journal.append((OpKind.REMOVE, op.index, old, None))
+    else:
+        tree.leaf_values[index] = op.value
+        tree.cache[heap] = tree.scheme.hasher.leaf(op.value)
 
 
 def _rehash_recursive(

@@ -172,32 +172,25 @@ class SparseMerkleTree:
 
     # -- O(1) / O(log n) leaf primitives ------------------------------------
 
-    def insert_leaf(self, index: int, value: bytes) -> list[int]:
-        """Add a new leaf and materialise its pruned path.
+    def insert_leaf(self, index: int, value: bytes) -> None:
+        """Add a new leaf, writing only its digest; ancestors are left stale
+        for the caller's hash phase.
 
-        Ancestor digests are left stale for the caller's hash phase. Costs
-        exactly `depth` node visits: the leaf write plus one probe per
-        internal path level below the root (the engines always rewrite the
-        root, so no placeholder is needed there).
-
-        Returns the cache keys this call created, for rollback journaling.
+        Costs exactly `depth` node visits: the leaf write plus one read-only
+        probe per internal path level below the root.
         """
         self.check_range(index)
         if index in self.leaf_values:
             raise DuplicateLeafError(f"leaf {index} already present")
         self.leaf_values[index] = value
         node = self.leaf_heap_index(index)
-        created = [node]
         self.cache[node] = self.scheme.hasher.leaf(value)
         self.counters.node_visits += 1
         node >>= 1
-        while node > 1:
-            if node not in self.cache:
-                self.cache[node] = self.defaults[level_of(node)]
-                created.append(node)
+        while node > 1:  # read-only probes: an insert stays O(log n) lookups
+            node in self.cache
             self.counters.node_visits += 1
             node >>= 1
-        return created
 
     def update_leaf(self, index: int, value: bytes) -> None:
         """Rewrite an existing leaf in place; one node visit, no ancestor work."""

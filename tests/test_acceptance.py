@@ -63,7 +63,8 @@ def test_c01_oracle_equivalence_property():
 
 def test_c02_traversal_halving_exact_counts():
     """k=100 distinct-leaf updates at depth 24: one-phase leaf phase visits
-    exactly 100 nodes, baseline phase 1 exactly 2,400."""
+    exactly 100 nodes, baseline phase 1 exactly 2,400. k=100 distinct inserts:
+    both engines visit exactly 2,400."""
     depth, k = 24, 100
     leaves = {i * 7: bytes([i]) for i in range(k)}
     tree = populated(depth, leaves)
@@ -75,7 +76,19 @@ def test_c02_traversal_halving_exact_counts():
     assert r_obu.counters.leaf_phase_visits == 100
     assert r_two.counters.leaf_phase_visits == 2400
     assert elapsed < 1.0
-    report("C2", "leaf-phase visits 100 vs 2400 at depth 24, k=100")
+    # k distinct inserts cost `depth` visits each in both engines: the one-phase
+    # leaf write plus its read-only probes, or the baseline's full traversal.
+    inserts = [LeafOperation.insert(i * 7 + 3, bytes([i, 2])) for i in range(k)]
+    r_obu = batch_update(tree.clone(), inserts)
+    r_two = two_phase_update(tree.clone(), inserts)
+    assert r_obu.counters.leaf_phase_visits == 2400
+    assert r_two.counters.leaf_phase_visits == 2400
+    assert r_obu.counters.node_visits == 2791
+    assert r_obu.counters.hash_invocations == 491
+    assert [len(level) for level in r_obu.level_work_lists] == (
+        [100, 100, 100, 88, 44, 22, 11, 6, 3, 2] + [1] * 15
+    )
+    report("C2", "leaf-phase visits 100 vs 2400 at depth 24, k=100; 2400 for 100 inserts")
 
 
 def test_c03_hash_work_equality_with_ancestor_oracle():

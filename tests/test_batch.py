@@ -9,7 +9,7 @@ from smtbench.batch import (
     batch_update,
     two_phase_update,
 )
-from smtbench.smt_core import LeafOperation, check_consistency, gen, level_of
+from smtbench.smt_core import LeafOperation, OpKind, check_consistency, gen, level_of
 
 from oracles import ancestor_union, final_leaves, naive_root, random_case
 
@@ -270,12 +270,48 @@ def test_first_op_failure_names_index_zero(engine):
     assert tree.cache == {}
 
 
-def test_rollback_covers_materialised_ancestors():
+def test_failed_batch_after_insert_leaves_empty_cache():
     tree = gen(6)
     with pytest.raises(BatchPreconditionError):
         batch_update(tree, [LeafOperation.insert(5, b"v"), LeafOperation.update(9, b"w")])
     assert tree.cache == {}
     assert tree.leaf_values == {}
+
+
+def has_reinsert_chain(ops) -> bool:
+    """Whether some index is inserted, removed and inserted again, in order."""
+    trails: dict[int, str] = {}
+    for op in ops:
+        if op.kind is not OpKind.UPDATE:
+            trails[op.index] = trails.get(op.index, "") + op.kind.value[0]
+    return any("iri" in trail for trail in trails.values())
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_failed_random_batches_restore_pre_batch_state(engine):
+    # Each random batch gets one failing op appended, so every earlier op is
+    # unwound from the undo journal in reverse order.
+    rng = random.Random(0x5B)
+    chains = 0
+    for case in range(200):
+        depth = rng.randrange(2, 9)
+        initial, ops = random_case(rng, depth)
+        present = final_leaves(initial, ops)
+        absent = [i for i in range(1 << depth) if i not in present]
+        if absent:
+            failing = LeafOperation.update(rng.choice(absent), b"x")
+        else:  # full tree
+            failing = LeafOperation.insert(rng.choice(sorted(present)), b"x")
+        tree = populated(depth, initial)
+        cache, leaves, root = dict(tree.cache), dict(tree.leaf_values), tree.root()
+        with pytest.raises(BatchPreconditionError) as err:
+            engine(tree, ops + [failing])
+        assert err.value.op_index == len(ops), f"case {case}"
+        assert tree.cache == cache, f"case {case}"
+        assert tree.leaf_values == leaves, f"case {case}"
+        assert tree.root() == root, f"case {case}"
+        chains += has_reinsert_chain(ops)
+    assert chains > 0
 
 
 # -- wide levels ---------------------------------------------------------------------

@@ -66,6 +66,7 @@ def test_insert_visits_equal_depth():
     tree = gen(4)
     tree.insert_leaf(0, b"a")
     assert tree.counters.node_visits == 4
+    assert list(tree.cache) == [tree.leaf_heap_index(0)]  # no ancestor is written
 
 
 def test_insert_duplicate_rejected():
