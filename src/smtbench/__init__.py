@@ -30,6 +30,7 @@ from .hasher import (
 from .smt_core import (
     ConfigError,
     ConsistencyError,
+    DefaultPayloadError,
     DuplicateLeafError,
     LeafOperation,
     LeafRangeError,

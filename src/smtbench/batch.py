@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .counters import CounterSet
 from .smt_core import (
+    DefaultPayloadError,
     DuplicateLeafError,
     LeafOperation,
     MissingLeafError,
@@ -217,6 +218,8 @@ def _two_phase_apply(
             raise DuplicateLeafError(f"leaf {index} already present")
     elif old_value is None:
         raise MissingLeafError(f"leaf {index} not present")
+    if op.value == tree.scheme.default_payload:  # a remove's value is None
+        raise DefaultPayloadError(f"leaf {index} would hold the default payload")
     counters.node_visits += tree.depth
     heap = tree.leaf_heap_index(index)
     journal.append((index, old_value, tree.cache.get(heap)))

@@ -7,6 +7,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 
+# Tallest empty subtree a scheme precomputes: heap indices of a tree this deep
+# still fit in 64 bits.
+MAX_HEIGHT = 63
+
+
 class InvalidDigestError(ValueError):
     """A digest argument does not have the scheme's digest length."""
 
@@ -84,7 +89,10 @@ class HashScheme:
     and internal-node digests in disjoint domains.
 
     `hasher` (not a field) holds the scheme's `BoundHasher`, built once at
-    construction for the engines' hot paths.
+    construction for the engines' hot paths. `empty_chain` (not a field)
+    holds the digests of all-empty subtrees by height, also built once: entry
+    0 is the default leaf digest and entry h + 1 is
+    `hasher.node(empty_chain[h], empty_chain[h])`, up to `MAX_HEIGHT`.
     """
 
     scheme_id: str = "sha256"
@@ -99,10 +107,16 @@ class HashScheme:
             raise ValueError("domain tags must be single bytes")
         if self.leaf_domain_tag == self.node_domain_tag:
             raise ValueError("leaf and node domain tags must differ")
-        object.__setattr__(self, "hasher", _bind(self))
+        hasher = _bind(self)
+        chain = [hasher.leaf(self.default_payload)]
+        for _ in range(MAX_HEIGHT):
+            chain.append(hasher.node(chain[-1], chain[-1]))
+        object.__setattr__(self, "hasher", hasher)
+        object.__setattr__(self, "empty_chain", tuple(chain))
 
     def __reduce__(self):
-        # Rebuild from the fields: the bound closures do not pickle.
+        # Rebuild from the fields: the bound closures do not pickle, and the
+        # chain follows from them.
         return (HashScheme, (self.scheme_id, self.leaf_domain_tag,
                              self.node_domain_tag, self.default_payload))
 
@@ -136,15 +150,12 @@ def default_digests(scheme: HashScheme, depth: int) -> list[bytes]:
 
     Index by level: entry `depth` is the default leaf digest, entry 0 is the
     root of a fully empty tree. Entry L satisfies
-    table[L] == hash_node(table[L+1], table[L+1]).
+    table[L] == hash_node(table[L+1], table[L+1]). Read from the scheme's
+    `empty_chain`, so no digest is recomputed.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    table = [b""] * (depth + 1)
-    table[depth] = hash_leaf(scheme, scheme.default_payload)
-    for level in range(depth - 1, -1, -1):
-        table[level] = hash_node(scheme, table[level + 1], table[level + 1])
-    return table
+    if not 1 <= depth <= MAX_HEIGHT:
+        raise ValueError(f"depth must be in [1, {MAX_HEIGHT}], got {depth}")
+    return list(scheme.empty_chain[depth::-1])
 
 
 def format_digest_table(table: list[bytes]) -> str:

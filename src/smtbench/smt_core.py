@@ -17,9 +17,9 @@ from enum import Enum
 from typing import Mapping
 
 from .counters import CounterSet
-from .hasher import DEFAULT_SCHEME, HashScheme, default_digests, hash_leaf, hash_node
+from .hasher import DEFAULT_SCHEME, MAX_HEIGHT, HashScheme, default_digests, hash_leaf, hash_node
 
-MAX_DEPTH = 63  # heap indices stay within 64-bit unsigned range
+MAX_DEPTH = MAX_HEIGHT  # heap indices stay within 64-bit unsigned range
 
 
 class SmtError(Exception):
@@ -44,6 +44,11 @@ class MissingLeafError(SmtError):
 
 class SnapshotFormatError(SmtError):
     pass
+
+
+class DefaultPayloadError(SmtError):
+    """A present leaf may not hold the scheme's default payload: its digest
+    would be the empty slot's, so the leaf could be proved absent."""
 
 
 class ConsistencyError(SmtError, AssertionError):
@@ -182,6 +187,8 @@ class SparseMerkleTree:
         self.check_range(index)
         if index in self.leaf_values:
             raise DuplicateLeafError(f"leaf {index} already present")
+        if value == self.scheme.default_payload:
+            raise DefaultPayloadError(f"leaf {index} would hold the default payload")
         self.leaf_values[index] = value
         node = self.leaf_heap_index(index)
         self.cache[node] = self.scheme.hasher.leaf(value)
@@ -196,6 +203,8 @@ class SparseMerkleTree:
         """Rewrite an existing leaf in place; one node visit, no ancestor work."""
         if index not in self.leaf_values:
             raise MissingLeafError(f"leaf {index} not present")
+        if value == self.scheme.default_payload:
+            raise DefaultPayloadError(f"leaf {index} would hold the default payload")
         self.leaf_values[index] = value
         self.cache[self.leaf_heap_index(index)] = self.scheme.hasher.leaf(value)
         self.counters.node_visits += 1
@@ -233,10 +242,10 @@ class SparseMerkleTree:
         """Sibling path for a leaf slot, present or absent; pruned siblings
         resolve to their level defaults."""
         self.check_range(index)
-        node = self.leaf_heap_index(index)
+        get, node = self.cache.get, self.capacity + index
         siblings = []
-        while node > 1:
-            siblings.append(self.resolve(node ^ 1))
+        for default in self.defaults[:0:-1]:  # levels depth .. 1
+            siblings.append(get(node ^ 1, default))
             node >>= 1
         return Witness(index, tuple(siblings))
 
@@ -267,8 +276,9 @@ def load_snapshot(
     text: str, depth: int, scheme: HashScheme = DEFAULT_SCHEME
 ) -> SparseMerkleTree:
     """Rebuild a tree from `export_snapshot` output. Every node index must lie
-    in `[1, 2^(depth+1))`, every leaf index in `[0, 2^depth)`, and every digest
-    must be `scheme.digest_size` bytes."""
+    in `[1, 2^(depth+1))`, every leaf index in `[0, 2^depth)`, every digest
+    must be `scheme.digest_size` bytes, and no leaf may hold the scheme's
+    default payload."""
     tree = SparseMerkleTree(depth, scheme)
     capacity, size = 1 << depth, scheme.digest_size
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -282,10 +292,12 @@ def load_snapshot(
                     parts.append("")
                 if len(parts) != 3:
                     raise ValueError("expected 'L <index> <hex>'")
-                index = int(parts[1])
+                index, value = int(parts[1]), bytes.fromhex(parts[2])
                 if not 0 <= index < capacity:
                     raise ValueError(f"leaf index {index} outside [0, 2^{depth})")
-                tree.leaf_values[index] = bytes.fromhex(parts[2])
+                if value == scheme.default_payload:
+                    raise ValueError(f"leaf {index} holds the default payload")
+                tree.leaf_values[index] = value
             else:
                 if len(parts) != 2:
                     raise ValueError("expected '<index> <hex>'")
@@ -309,16 +321,44 @@ def member_verify(
 ) -> bool:
     """Fold a leaf value up through the witness siblings and compare to root.
 
-    Pure function of its arguments; a malformed witness, including one whose
-    leaf index lies outside [0, 2^depth), verifies false.
+    Pure function of its arguments that never raises: a malformed witness or
+    value verifies false. That covers a leaf index that is not an int (or is
+    a bool) or lies outside [0, 2^depth), siblings that are not a tuple or
+    list of `depth` digests of the scheme's size, and a value that is not
+    bytes.
+
+    The default payload's leaf digest is the first entry of the scheme's
+    `empty_chain`, and while every sibling so far is the empty digest of its
+    height, so is the carried digest: an absence proof hashes only from the
+    first non-empty sibling up. Each skip yields exactly the bytes the hash
+    would.
     """
-    if len(witness.siblings) != depth or not 0 <= witness.leaf_index < 1 << depth:
+    index, siblings = witness.leaf_index, witness.siblings
+    if (
+        not isinstance(index, int)
+        or isinstance(index, bool)
+        or not 0 <= index < 1 << depth
+        or not isinstance(siblings, (tuple, list))
+        or len(siblings) != depth
+        or not isinstance(value, bytes)
+    ):
         return False
     size, node_hash, leaf_hash = scheme.hasher
-    digest = leaf_hash(value)
-    index = witness.leaf_index
-    for sibling in witness.siblings:
-        if len(sibling) != size:
+    height = 0
+    if value == scheme.default_payload:
+        chain = scheme.empty_chain
+        for sibling in siblings:
+            if not isinstance(sibling, bytes) or sibling != chain[height]:
+                break
+            height += 1
+        digest = chain[height]
+        index >>= height
+    else:
+        digest = leaf_hash(value)
+    # Above the chain the carried digest never returns to it: only two empty
+    # subtrees hash to an empty subtree's digest.
+    for sibling in siblings[height:]:
+        if not isinstance(sibling, bytes) or len(sibling) != size:
             return False
         if index & 1:
             digest = node_hash(sibling, digest)
@@ -347,8 +387,7 @@ def check_consistency(tree: SparseMerkleTree) -> None:
             raise ConsistencyError(f"cache key {node} out of heap range")
         level = level_of(node)
         if level < tree.depth:
-            # Internal defaults must be pruned; a cached leaf digest may equal
-            # the default when a present leaf holds the default payload.
+            # Internal defaults must be pruned.
             if digest == tree.defaults[level]:
                 raise ConsistencyError(f"default digest cached at {node}")
             expect = hash_node(tree.scheme, tree.resolve(2 * node), tree.resolve(2 * node + 1))

@@ -527,46 +527,51 @@ def write_block_traces(blocks: Iterable[BlockTrace], path: str | Path) -> None:
     Path(path).write_text(serialize_block_traces(blocks))
 
 
-def _parse_account_field(raw: object, where: str, field: str) -> int | None:
+_TX_TYPES = {kind.value: kind for kind in TxType}
+
+
+def _parse_account_field(raw: object, field: str) -> int | None:
     if raw is None:
         return None
     if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
-        raise TraceParseError(f"{where}: {field!r} must be a non-negative integer")
+        raise TraceParseError(f"{field!r} must be a non-negative integer")
     return raw
 
 
-def _parse_tx(raw: object, where: str) -> TxRecord:
+def _parse_tx(raw: object) -> TxRecord:
+    """One transaction; a TraceParseError names no location, the caller
+    prefixes it."""
     if not isinstance(raw, dict):
-        raise TraceParseError(f"{where}: transaction must be an object")
+        raise TraceParseError("transaction must be an object")
+    if "type" not in raw:
+        raise TraceParseError("missing 'type'")
     try:
-        tx_type = TxType(raw["type"])
-    except KeyError:
-        raise TraceParseError(f"{where}: missing 'type'") from None
-    except ValueError:
-        raise TraceParseError(f"{where}: unknown tx_type {raw['type']!r}") from None
+        tx_type = _TX_TYPES[raw["type"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise TraceParseError(f"unknown tx_type {raw['type']!r}") from None
     amount_raw = raw.get("amount", "0")
     if isinstance(amount_raw, str):
         try:
             amount = int(amount_raw, 10)
         except ValueError:
-            raise TraceParseError(f"{where}: 'amount' is not a decimal string") from None
+            raise TraceParseError("'amount' is not a decimal string") from None
     elif isinstance(amount_raw, int) and not isinstance(amount_raw, bool):
         amount = amount_raw
     else:
-        raise TraceParseError(f"{where}: 'amount' must be a decimal string")
+        raise TraceParseError("'amount' must be a decimal string")
     token = raw.get("token", 0)
     if not isinstance(token, int) or isinstance(token, bool) or token < 0:
-        raise TraceParseError(f"{where}: 'token' must be a non-negative integer")
+        raise TraceParseError("'token' must be a non-negative integer")
     try:
         return TxRecord(
             tx_type,
-            _parse_account_field(raw.get("from"), where, "from"),
-            _parse_account_field(raw.get("to"), where, "to"),
+            _parse_account_field(raw.get("from"), "from"),
+            _parse_account_field(raw.get("to"), "to"),
             token,
             amount,
         )
     except TraceValidationError as exc:
-        raise TraceParseError(f"{where}: {exc}") from exc
+        raise TraceParseError(str(exc)) from exc
 
 
 def parse_block_trace_text(text: str) -> list[BlockTrace]:
@@ -587,10 +592,14 @@ def parse_block_trace_text(text: str) -> list[BlockTrace]:
         raw_txs = raw_block.get("txs")
         if not isinstance(raw_txs, list) or not raw_txs:
             raise TraceParseError(f"{where}: 'txs' must be a non-empty list")
-        txs = tuple(
-            _parse_tx(raw_tx, f"{where}.txs[{ti}]") for ti, raw_tx in enumerate(raw_txs)
-        )
-        blocks.append(BlockTrace(number, txs))
+        txs = []
+        try:
+            for raw_tx in raw_txs:
+                txs.append(_parse_tx(raw_tx))
+        except TraceParseError as exc:
+            # The location is formatted only here, on the error path.
+            raise TraceParseError(f"{where}.txs[{len(txs)}]: {exc}") from exc.__cause__
+        blocks.append(BlockTrace(number, tuple(txs)))
     return blocks
 
 

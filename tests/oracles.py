@@ -27,6 +27,30 @@ def naive_root(depth: int, leaves: dict[int, bytes], scheme: HashScheme = DEFAUL
     return rec(1)
 
 
+def fold_witness(
+    index: int, siblings, value: bytes, scheme: HashScheme = DEFAULT_SCHEME
+) -> list[bytes]:
+    """Digests a witness folds `value` at leaf `index` through, by height: a
+    plain fold with one hash per level and no shortcut for empty subtrees.
+    The last entry is the root the witness claims."""
+    path = [hash_leaf(scheme, value)]
+    for sibling in siblings:
+        if index & 1:
+            path.append(hash_node(scheme, sibling, path[-1]))
+        else:
+            path.append(hash_node(scheme, path[-1], sibling))
+        index >>= 1
+    return path
+
+
+def empty_digests(depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> list[bytes]:
+    """Digest of an all-empty subtree by height, 0 (a default leaf) to depth."""
+    out = [hash_leaf(scheme, scheme.default_payload)]
+    for _ in range(depth):
+        out.append(hash_node(scheme, out[-1], out[-1]))
+    return out
+
+
 def ancestor_union(depth: int, leaf_indices) -> set[int]:
     """Heap indices of every proper ancestor (root inclusive) of the leaves."""
     out: set[int] = set()
@@ -50,6 +74,12 @@ def final_leaves(initial: dict[int, bytes], ops: list[LeafOperation]) -> dict[in
     return out
 
 
+def _payload(rng: random.Random) -> bytes:
+    # A present leaf may not hold the default payload b"": the draw that would
+    # give it becomes b"\x00", so every seeded stream stays the same.
+    return rng.randbytes(rng.randrange(12)) or b"\x00"
+
+
 def random_case(
     rng: random.Random,
     depth: int,
@@ -61,18 +91,14 @@ def random_case(
     capacity = 1 << depth
     initial: dict[int, bytes] = {}
     for _ in range(rng.randrange(max_initial + 1)):
-        initial[rng.randrange(capacity)] = rng.randbytes(rng.randrange(12))
+        initial[rng.randrange(capacity)] = _payload(rng)
     present = set(initial)
     ops: list[LeafOperation] = []
     for _ in range(rng.randrange(max_ops + 1)):
         roll = rng.random()
         can_insert = len(present) < capacity
         if present and (roll < 0.40 or (not can_insert and roll < 0.80)):
-            ops.append(
-                LeafOperation.update(
-                    rng.choice(sorted(present)), rng.randbytes(rng.randrange(12))
-                )
-            )
+            ops.append(LeafOperation.update(rng.choice(sorted(present)), _payload(rng)))
         elif present and (roll < 0.55 or not can_insert):
             index = rng.choice(sorted(present))
             present.discard(index)
@@ -82,5 +108,5 @@ def random_case(
             while index in present:
                 index = rng.randrange(capacity)
             present.add(index)
-            ops.append(LeafOperation.insert(index, rng.randbytes(rng.randrange(12))))
+            ops.append(LeafOperation.insert(index, _payload(rng)))
     return initial, ops

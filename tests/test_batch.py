@@ -9,7 +9,14 @@ from smtbench.batch import (
     batch_update,
     two_phase_update,
 )
-from smtbench.smt_core import LeafOperation, OpKind, check_consistency, gen, level_of
+from smtbench.smt_core import (
+    DefaultPayloadError,
+    LeafOperation,
+    OpKind,
+    check_consistency,
+    gen,
+    level_of,
+)
 
 from oracles import ancestor_union, final_leaves, naive_root, random_case
 
@@ -276,6 +283,22 @@ def test_failed_batch_after_insert_leaves_empty_cache():
         batch_update(tree, [LeafOperation.insert(5, b"v"), LeafOperation.update(9, b"w")])
     assert tree.cache == {}
     assert tree.leaf_values == {}
+
+
+@pytest.mark.parametrize("kind", [OpKind.INSERT, OpKind.UPDATE])
+def test_default_payload_rejected_at_the_same_op_by_both_engines(kind):
+    base = populated(8, {3: b"a", 9: b"b"})
+    bad = LeafOperation(kind, 5 if kind is OpKind.INSERT else 9, b"")
+    ops = [LeafOperation.update(3, b"c"), LeafOperation.insert(40, b"d"), bad,
+           LeafOperation.insert(41, b"e")]
+    for engine in ENGINES:
+        tree = base.clone()
+        with pytest.raises(BatchPreconditionError) as err:
+            engine(tree, ops)
+        assert err.value.op_index == 2
+        assert isinstance(err.value.cause, DefaultPayloadError)
+        assert tree.cache == base.cache
+        assert tree.leaf_values == base.leaf_values
 
 
 def has_reinsert_chain(ops) -> bool:

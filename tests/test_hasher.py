@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from smtbench.hasher import (
     DEFAULT_SCHEME,
+    MAX_HEIGHT,
     SLOW_SCHEME,
     HashScheme,
     InvalidDigestError,
@@ -83,9 +84,21 @@ def test_default_digests_depth24_root_golden():
     assert table[0] == EMPTY_ROOT_24
 
 
-def test_default_digests_rejects_zero_depth():
+@pytest.mark.parametrize("depth", [0, MAX_HEIGHT + 1])
+def test_default_digests_rejects_bad_depth(depth):
     with pytest.raises(ValueError):
-        default_digests(DEFAULT_SCHEME, 0)
+        default_digests(DEFAULT_SCHEME, depth)
+
+
+@pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, SLOW_SCHEME], ids=["sha256", "sha256x64"])
+def test_empty_chain_is_the_default_table_by_height(scheme):
+    chain = scheme.empty_chain
+    assert len(chain) == MAX_HEIGHT + 1
+    assert chain[0] == hash_leaf(scheme, scheme.default_payload)
+    for height in range(MAX_HEIGHT):
+        assert chain[height + 1] == hash_node(scheme, chain[height], chain[height])
+    table = default_digests(scheme, 24)
+    assert all(table[level] is chain[24 - level] for level in range(25))
 
 
 def test_golden_fixture_file_matches(repo_root):
@@ -148,3 +161,4 @@ def test_scheme_pickles_with_its_bound_hasher():
     copy = pickle.loads(pickle.dumps(SLOW_SCHEME))
     assert copy == SLOW_SCHEME
     assert copy.hasher.leaf(b"a") == hash_leaf(SLOW_SCHEME, b"a")
+    assert copy.empty_chain == SLOW_SCHEME.empty_chain

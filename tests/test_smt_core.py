@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smtbench.hasher import DEFAULT_SCHEME, hash_leaf, hash_node
+from smtbench.batch import BatchPreconditionError
+from smtbench.hasher import DEFAULT_SCHEME, BoundHasher, HashScheme, hash_leaf, hash_node
 import smtbench
 from smtbench.smt_core import (
     ConfigError,
     ConsistencyError,
+    DefaultPayloadError,
     DuplicateLeafError,
     LeafOperation,
     LeafRangeError,
@@ -27,7 +29,7 @@ from smtbench.smt_core import (
     non_member_verify,
 )
 
-from oracles import naive_root
+from oracles import empty_digests, fold_witness, naive_root
 
 EMPTY_ROOT_24 = bytes.fromhex("8d6446d4c64ee7ebb1221fed67e95b054036fa2076e31142638b7348e875adc7")
 THREE_LEAF_ROOT = bytes.fromhex("f8191d65220004613d2c54587d53209cc93885700054343ace74abaaae72c0c1")
@@ -247,11 +249,60 @@ def test_member_verify_rejects_out_of_range_leaf_index():
         assert not member_verify(tree.root(), Witness(alias, witness.siblings), b"x", 8)
 
 
+def test_member_verify_rejects_mistyped_input():
+    # Before the verifier checked types, the str sibling, the float index,
+    # the None siblings and the bytes-as-siblings raised TypeError, and the
+    # bool index verified as leaf 1.
+    tree = build(8, {1: b"x", 200: b"y"})
+    root, witness = tree.root(), tree.member_witness_create(1)
+    siblings = witness.siblings
+    assert member_verify(root, witness, b"x", 8)
+    malformed = [
+        (Witness(1, (siblings[0].hex()[:32],) + siblings[1:]), b"x"),
+        (Witness(1.0, siblings), b"x"),
+        (Witness(1, None), b"x"),
+        (Witness(True, siblings), b"x"),
+        (Witness(1, siblings[0][:8]), b"x"),
+        (Witness(1, iter(siblings)), b"x"),
+        (Witness(1, tuple(bytearray(s) for s in siblings)), b"x"),
+        (witness, "x"),
+        (witness, None),
+    ]
+    for bad, value in malformed:
+        assert not member_verify(root, bad, value, 8), (bad, value)
+    # The same on the absence path, whose first sibling is the empty leaf's.
+    absence = tree.member_witness_create(2)
+    assert non_member_verify(root, absence, 8)
+    first, rest = absence.siblings[0], absence.siblings[1:]
+    for sibling in (first.hex()[:32], bytearray(first), memoryview(first)):
+        assert not non_member_verify(root, Witness(2, (sibling,) + rest), 8)
+
+
+# -- the default payload ----------------------------------------------------------
+
+
+def test_present_leaf_may_not_hold_the_default_payload():
+    # Leaf 5 holding b"" would have the empty slot's digest, and
+    # non_member_verify would accept its witness.
+    tree = gen(8)
+    with pytest.raises(BatchPreconditionError) as err:
+        tree.commit({5: b""})
+    assert isinstance(err.value.cause, DefaultPayloadError)
+    assert tree.cache == {} and tree.leaf_values == {}
+    with pytest.raises(DefaultPayloadError):
+        tree.insert_leaf(5, b"")
+    tree.commit({5: b"v"})
+    with pytest.raises(DefaultPayloadError):
+        tree.update_leaf(5, b"")
+    assert tree.leaf_values == {5: b"v"}
+    assert not non_member_verify(tree.root(), tree.member_witness_create(5), 8)
+
+
 # -- snapshots ---------------------------------------------------------------------
 
 
 def test_snapshot_round_trip():
-    tree = build(4, {0: b"", 3: b"abc", 15: b"\xff\x00"})
+    tree = build(4, {0: b"\x00", 3: b"abc", 15: b"\xff\x00"})
     text = tree.export_snapshot()
     loaded = load_snapshot(text, 4)
     assert loaded.cache == tree.cache
@@ -286,6 +337,7 @@ def test_snapshot_rejects_garbage():
         ("0 " + "00" * 32 + "\n", r"snapshot line 1: node index 0 outside"),
         ("L 255 00\nL 256 00\n", r"snapshot line 2: leaf index 256 outside \[0, 2\^8\)"),
         ("L -1 00\n", r"snapshot line 1: leaf index -1 outside"),
+        ("L 3 00\nL 5\n", r"snapshot line 2: leaf 5 holds the default payload"),
     ],
 )
 def test_snapshot_rejects_out_of_range_input(text, match):
@@ -351,7 +403,7 @@ def test_consistency_error_survives_optimize():
 def test_commit_matches_naive_oracle(depth, data):
     capacity = 1 << depth
     leaves = data.draw(
-        st.dictionaries(st.integers(0, capacity - 1), st.binary(max_size=12), max_size=16)
+        st.dictionaries(st.integers(0, capacity - 1), st.binary(min_size=1, max_size=12), max_size=16)
     )
     tree = build(depth, leaves)
     assert tree.root() == naive_root(depth, leaves)
@@ -376,6 +428,91 @@ def test_witness_round_trip_random_trees(data):
             assert member_verify(root, witness, leaves[index], depth)
         else:
             assert non_member_verify(root, witness, depth)
+
+
+# -- verification against the plain fold ---------------------------------------------
+
+
+def test_verify_agrees_with_plain_fold_on_random_trees():
+    # member_verify skips the hashes of empty subtrees; the oracle hashes
+    # every level. They must agree on untouched witnesses, on each level's
+    # sibling swapped for the empty digest or for a random one, and on one
+    # flipped byte at each level.
+    rng = random.Random(0xF01D)
+    seen = {"default run": 0, "default over digest": 0, "digest over default": 0}
+    for case in range(24):
+        depth = rng.randrange(8, 13)
+        empty = empty_digests(depth)
+        span = rng.choice((8, 64, 1 << depth))  # clustered leaves leave long empty runs
+        leaves = {
+            rng.randrange(span): rng.randbytes(rng.randrange(1, 9))
+            for _ in range(rng.randrange(1, 20))
+        }
+        tree = build(depth, leaves)
+        root = tree.root()
+        probes = rng.sample(sorted(leaves), min(3, len(leaves)))
+        probes += [i for i in (rng.randrange(1 << depth) for _ in range(3)) if i not in leaves]
+        for index in probes:
+            value = leaves.get(index, b"")
+            siblings = tree.member_witness_create(index).siblings
+            path = fold_witness(index, siblings, value)
+            assert path[-1] == root
+            for height, sibling in enumerate(siblings):
+                on_chain = path[height] == empty[height], sibling == empty[height]
+                seen["default run"] += on_chain == (True, True)
+                seen["default over digest"] += on_chain == (False, True)
+                seen["digest over default"] += on_chain == (True, False)
+            variants = [(siblings, True)]
+            for level in range(depth):
+                flipped = bytearray(siblings[level])
+                flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+                swaps = ((bytes(flipped), False), (empty[level], None), (rng.randbytes(32), None))
+                for swap, valid in swaps:
+                    variants.append((siblings[:level] + (swap,) + siblings[level + 1:], valid))
+            for number, (variant, valid) in enumerate(variants):
+                expect = fold_witness(index, variant, value)[-1] == root
+                assert valid in (None, expect)
+                witness = Witness(index, variant)
+                assert member_verify(root, witness, value, depth) == expect, (case, index, number)
+                if index not in leaves:
+                    assert non_member_verify(root, witness, depth) == expect
+    assert all(seen.values()), seen
+
+
+def counting_scheme() -> tuple[HashScheme, dict[str, int]]:
+    """The default scheme with its bound hasher wrapped to count calls."""
+    scheme, calls = HashScheme(), {"node": 0, "leaf": 0}
+    size, node, leaf = scheme.hasher
+
+    def counted_node(left: bytes, right: bytes) -> bytes:
+        calls["node"] += 1
+        return node(left, right)
+
+    def counted_leaf(payload: bytes) -> bytes:
+        calls["leaf"] += 1
+        return leaf(payload)
+
+    object.__setattr__(scheme, "hasher", BoundHasher(size, counted_node, counted_leaf))
+    return scheme, calls
+
+
+def test_proof_hash_counts():
+    scheme, calls = counting_scheme()
+    tree = gen(24, scheme)  # the defaults come from the scheme's chain
+    assert calls == {"node": 0, "leaf": 0}
+    assert non_member_verify(tree.root(), tree.member_witness_create(12_345), 24, scheme)
+    assert calls == {"node": 0, "leaf": 0}
+    tree.commit({7: b"v"})
+    root = tree.root()
+    calls.update(node=0, leaf=0)
+    assert member_verify(root, tree.member_witness_create(7), b"v", 24, scheme)
+    assert calls == {"node": 24, "leaf": 1}  # depth + 1: nothing to skip
+    calls.update(node=0, leaf=0)
+    assert non_member_verify(root, tree.member_witness_create(6), 24, scheme)
+    assert calls == {"node": 24, "leaf": 0}  # its sibling, leaf 7, is not empty
+    calls.update(node=0, leaf=0)
+    assert non_member_verify(root, tree.member_witness_create(1 << 23), 24, scheme)
+    assert calls == {"node": 1, "leaf": 0}  # only the root's halves differ
 
 
 def test_leaf_operation_is_a_frozen_value():

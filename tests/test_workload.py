@@ -454,6 +454,27 @@ def test_parse_rejects_malformed(text, match):
         parse_block_trace_text(text)
 
 
+@pytest.mark.parametrize(
+    "txs,message",
+    [
+        ('{"type": "Deposit", "to": 1}, {"type": "Teleport"}', "blocks[1].txs[1]: unknown tx_type 'Teleport'"),
+        ('{"type": ["x"]}', "blocks[1].txs[0]: unknown tx_type ['x']"),
+        ('{"to": 3}', "blocks[1].txs[0]: missing 'type'"),
+        ('7', "blocks[1].txs[0]: transaction must be an object"),
+        ('{"type": "Deposit", "to": 1, "amount": 1.5}', "blocks[1].txs[0]: 'amount' must be a decimal string"),
+        ('{"type": "Deposit", "to": 1, "token": -2}', "blocks[1].txs[0]: 'token' must be a non-negative integer"),
+        ('{"type": "Transfer", "from": "a", "to": 2}', "blocks[1].txs[0]: 'from' must be a non-negative integer"),
+        ('{"type": "Transfer", "from": 1}', "blocks[1].txs[0]: Transfer requires a to account"),
+    ],
+)
+def test_parse_error_messages_name_the_transaction(txs, message):
+    text = ('{"blocks": [{"block_number": 1, "txs": [{"type": "Deposit", "to": 1}]}, '
+            f'{{"block_number": 2, "txs": [{txs}]}}]}}')
+    with pytest.raises(TraceParseError) as err:
+        parse_block_trace_text(text)
+    assert str(err.value) == message
+
+
 def test_bundled_fixtures_parse_and_regenerate(repo_root):
     from smtbench.bench import gen_fixture
 
