@@ -1,20 +1,21 @@
 """The two root-hash engines.
 
-`batch_update` is the one-phase engine: apply every leaf mutation through the
-O(1)/O(log n) primitives, then sweep the dirty nodes level by level bottom-up
-until the root is rewritten. The sweep carries each level's fresh digests up
-with its ascending node list: adjacent siblings 2p and 2p+1 hash from the
-carried digests, a lone dirty child reads only its clean sibling from the
-cache, and each level's parents come out ascending and duplicate-free. Each
-affected path is walked once.
+`batch_update` is the one-phase engine: write every leaf, charging O(1) per
+update or remove and O(log n) per insert, then sweep the dirty nodes level
+by level bottom-up until the root is rewritten. The sweep carries each
+level's fresh digests up with its ascending node list: adjacent siblings 2p
+and 2p+1 hash from the carried digests, a lone dirty child reads only its
+clean sibling from the cache, and each level's parents come out ascending
+and duplicate-free. Each affected path is walked once.
 
 `two_phase_update` is the baseline it is measured against: a full root-to-leaf
 traversal per operation to mutate the leaf, then a recursive top-down rehash
 of the stale paths, so every affected path is walked twice.
 
-Both engines produce bytewise-identical roots, final tree states, and hash
-counts on the same inputs; the difference the benchmarks measure is traversal
-work. Both run on the calling thread.
+Both engines check and write each leaf through `_write_leaf`; only what they
+charge for it and how they rehash differ. Both produce bytewise-identical
+roots, final tree states, and hash counts on the same inputs; the difference
+the benchmarks measure is traversal work. Both run on the calling thread.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ class BatchPreconditionError(SmtError):
         self.op_index = op_index
         self.cause = cause
 
+    def __reduce__(self):
+        return self.__class__, (self.op_index, self.cause)
+
 
 @dataclass
 class BatchResult:
@@ -75,29 +79,39 @@ def _rollback(tree: SparseMerkleTree, journal: _Journal) -> None:
             tree.cache[heap] = digest
 
 
-def _journaled(tree: SparseMerkleTree, op: LeafOperation, journal: _Journal) -> None:
-    """Apply one op through the counting primitives, recording undo state.
-    Each primitive raises before mutating."""
-    index = op.index
-    undo = (index, tree.leaf_values.get(index), tree.cache.get(tree.leaf_heap_index(index)))
+def _write_leaf(tree: SparseMerkleTree, op: LeafOperation, journal: _Journal) -> None:
+    """Check one op's preconditions, record its undo state, then write or
+    delete its leaf digest; ancestors stay stale for the engine's hash phase.
+    Raises before mutating."""
+    index, value = op.index, op.value
+    old_value = tree.leaf_values.get(index)
     if op.kind is OpKind.INSERT:
-        tree.insert_leaf(index, op.value)
-    elif op.kind is OpKind.UPDATE:
-        tree.update_leaf(index, op.value)
+        tree.check_range(index)
+        if old_value is not None:
+            raise DuplicateLeafError(f"leaf {index} already present")
+    elif old_value is None:
+        raise MissingLeafError(f"leaf {index} not present")
+    if value == tree.scheme.default_payload:  # a remove's value is None
+        raise DefaultPayloadError(f"leaf {index} would hold the default payload")
+    heap = tree.capacity + index
+    journal.append((index, old_value, tree.cache.get(heap)))
+    if value is None:
+        del tree.leaf_values[index]
+        del tree.cache[heap]
     else:
-        tree.remove_leaf(index)
-    journal.append(undo)
+        tree.leaf_values[index] = value
+        tree.cache[heap] = tree.scheme.hasher.leaf(value)
 
 
 # -- one-phase batch update ----------------------------------------------------
 
 
 def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResult:
-    """One-phase engine: leaf phase via O(1)/O(log n) primitives, then a
-    bottom-up level sweep carrying fresh digests and rehashing exactly the
-    dirty nodes. Aborting ops roll the tree back untouched."""
+    """One-phase engine: a leaf phase charging one visit per update or
+    remove and `depth` per insert, then a bottom-up level sweep carrying fresh
+    digests and rehashing exactly the dirty nodes. Aborting ops roll the tree
+    back untouched."""
     counters = CounterSet()
-    tree.counters = counters
     if not ops:
         return BatchResult(tree.root(), counters, OBU, [])
 
@@ -105,29 +119,39 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     touched: set[int] = set()
     hashed_leaves: set[int] = set()
     journal: _Journal = []
-    leaf_base = tree.capacity
+    cache, depth, leaf_base = tree.cache, tree.depth, tree.capacity
+    visits = 0
     for op_index, op in enumerate(ops):
         try:
-            _journaled(tree, op, journal)
+            _write_leaf(tree, op, journal)
         except SmtError as exc:
             _rollback(tree, journal)
             raise BatchPreconditionError(op_index, exc) from exc
+        node = leaf_base + op.index
+        if op.kind is OpKind.INSERT:
+            visits += depth
+            parent = node >> 1
+            while parent > 1:  # read-only probes: an insert stays O(log n) lookups
+                parent in cache
+                parent >>= 1
+        else:
+            visits += 1
         if op.kind is not OpKind.REMOVE:
             hashed_leaves.add(op.index)
-        touched.add(leaf_base + op.index)
-    counters.leaf_phase_visits = counters.node_visits
+        touched.add(node)
+    counters.leaf_phase_visits = visits
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    cache, defaults = tree.cache, tree.defaults
+    defaults = tree.defaults
     node_hash, get = tree.scheme.hasher.node, cache.get
     # The touched leaf slots are the schedule's first level; each level below
     # appends its parents, bottom-up. A removed leaf carries the default digest.
     nodes = sorted(touched)
-    digests = [get(node, defaults[tree.depth]) for node in nodes]
+    digests = [get(node, defaults[depth]) for node in nodes]
     work_lists: list[list[int]] = [nodes]
     rehashed = 0
-    for level in range(tree.depth - 1, -1, -1):
+    for level in range(depth - 1, -1, -1):
         # Parents of the dirty `nodes` (ascending, distinct), hashed from their
         # fresh `digests`; only a lone child's clean sibling is read from the cache.
         child_default, own_default = defaults[level + 1], defaults[level]
@@ -156,9 +180,9 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
         work_lists.append(nodes)
         rehashed += len(nodes)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
-    counters.node_visits += rehashed
-    counters.hash_invocations += len(hashed_leaves) + rehashed
-    counters.levels_processed = tree.depth
+    counters.node_visits = visits + rehashed
+    counters.hash_invocations = len(hashed_leaves) + rehashed
+    counters.levels_processed = depth
     return BatchResult(tree.root(), counters, OBU, work_lists)
 
 
@@ -170,7 +194,6 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     every operation (the benchmark system's O(log n) update) and marks the
     path stale; phase 2 recursively rehashes stale paths top-down."""
     counters = CounterSet()
-    tree.counters = counters
     if not ops:
         return BatchResult(tree.root(), counters, TWO_PHASE)
 
@@ -180,10 +203,11 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     journal: _Journal = []
     for op_index, op in enumerate(ops):
         try:
-            _two_phase_apply(tree, op, journal, counters)
+            _write_leaf(tree, op, journal)
         except SmtError as exc:
             _rollback(tree, journal)
             raise BatchPreconditionError(op_index, exc) from exc
+        counters.node_visits += tree.depth
         if op.kind is not OpKind.REMOVE:
             hashed_leaves.add(op.index)
         node = tree.leaf_heap_index(op.index)
@@ -199,36 +223,6 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     counters.hash_invocations += len(hashed_leaves)
     counters.levels_processed = tree.depth
     return BatchResult(new_root, counters, TWO_PHASE)
-
-
-def _two_phase_apply(
-    tree: SparseMerkleTree,
-    op: LeafOperation,
-    journal: _Journal,
-    counters: CounterSet,
-) -> None:
-    """Mutate one leaf the baseline way: validate, charge the root-to-leaf
-    traversal, write directly (bypassing the O(1) primitives and their
-    counter charges)."""
-    index = op.index
-    old_value = tree.leaf_values.get(index)
-    if op.kind is OpKind.INSERT:
-        tree.check_range(index)
-        if old_value is not None:
-            raise DuplicateLeafError(f"leaf {index} already present")
-    elif old_value is None:
-        raise MissingLeafError(f"leaf {index} not present")
-    if op.value == tree.scheme.default_payload:  # a remove's value is None
-        raise DefaultPayloadError(f"leaf {index} would hold the default payload")
-    counters.node_visits += tree.depth
-    heap = tree.leaf_heap_index(index)
-    journal.append((index, old_value, tree.cache.get(heap)))
-    if op.kind is OpKind.REMOVE:
-        del tree.leaf_values[index]
-        del tree.cache[heap]
-    else:
-        tree.leaf_values[index] = op.value
-        tree.cache[heap] = tree.scheme.hasher.leaf(op.value)
 
 
 def _rehash_recursive(

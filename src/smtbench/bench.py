@@ -1,14 +1,16 @@
 """Micro/macro benchmark runners with CSV and JSON reporting.
 
-Methodology: for every workload point both engines run from identical tree
-snapshots, a warm-up run is discarded, wall times cover the full engine call
-(leaf phase plus hash phase), and the headline metric is the percentage
-decrease in mean running time, positive when the one-phase engine is faster.
+Methodology: for every workload point both engines run in pairs from
+identical tree snapshots, alternating which goes first; a warm-up pair is
+discarded, wall times cover the full engine call (leaf phase plus hash phase)
+with GC off, and the headline metric is the percentage decrease in mean
+running time, positive when the one-phase engine is faster.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import platform
@@ -75,7 +77,6 @@ def percent_decrease(baseline_nanos: float, obu_nanos: float) -> float:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    engine: str = "both"  # obu | two-phase | both
     depth: int = 24
     runs: int = 10
     seed: int = 2024
@@ -84,15 +85,7 @@ class BenchConfig:
     trace_path: str | Path | None = None
     filter_mode: str = "all"  # all | transfer-swap
 
-    def engines(self) -> list[str]:
-        if self.engine == "both":
-            return [TWO_PHASE, OBU]
-        if self.engine in ENGINES:
-            return [self.engine]
-        raise BenchConfigError(f"unknown engine {self.engine!r}")
-
     def validate(self) -> None:
-        self.engines()
         if self.runs < 1:
             raise BenchConfigError(f"runs must be >= 1, got {self.runs}")
         if any(k < 0 for k in self.k_sweep):
@@ -132,7 +125,7 @@ class AggregateRecord:
     node_visits: int
     hash_invocations: int
     root_hex: str
-    percent_decrease: float | None  # populated on the OBU row when both engines ran
+    percent_decrease: float | None  # populated on the OBU row only
 
     def as_row(self) -> list:
         row = []
@@ -197,45 +190,42 @@ def _environment_note() -> str:
     )
 
 
-def _timed_runs(
-    base: SparseMerkleTree,
-    ops: list[LeafOperation],
-    engine: str,
-    runs: int,
-) -> tuple[list[int], BatchResult, SparseMerkleTree]:
-    """Run one engine `runs` times from clones of `base`, plus an untimed
-    warm-up; returns wall times, the last result and the tree it left."""
-    times = []
-    for run in range(runs + 1):
-        tree = base.clone()
-        started = time.perf_counter_ns()
-        result = ENGINES[engine](tree, ops)
-        elapsed = time.perf_counter_ns() - started
-        if run > 0:
-            times.append(elapsed)
-    return times, result, tree
-
-
 def _bench_point(
     report: BenchReport,
     config: BenchConfig,
     k: int,
     base: SparseMerkleTree,
     ops: list[LeafOperation],
-) -> tuple[dict[str, float], float | None, SparseMerkleTree]:
-    """Time every configured engine on `ops` from clones of `base` and append
-    the run rows and aggregates to `report`. Returns each engine's mean wall
-    time, the percent decrease when both engines ran, and the tree after the
-    batch."""
-    means: dict[str, float] = {}
+) -> tuple[dict[str, float], float, SparseMerkleTree]:
+    """Time both engines on `ops` from clones of `base`, in pairs that
+    alternate which engine goes first, after an untimed warm-up pair, with GC
+    off inside each call. Appends the run rows and aggregates to `report` and
+    returns each engine's mean wall time, the percent decrease, and the tree
+    `obu` left."""
+    times: dict[str, list[int]] = {TWO_PHASE: [], OBU: []}
     results: dict[str, BatchResult] = {}
-    times_by_engine: dict[str, list[int]] = {}
-    for engine in config.engines():
-        times, result, tree = _timed_runs(base, ops, engine, config.runs)
-        times_by_engine[engine] = times
-        results[engine] = result
-        means[engine] = statistics.fmean(times)
-        for run, wall in enumerate(times, start=1):
+    trees: dict[str, SparseMerkleTree] = {}
+    order = [TWO_PHASE, OBU]
+    for run in range(config.runs + 1):
+        for engine in order:
+            tree = base.clone()
+            gc.disable()
+            try:
+                started = time.perf_counter_ns()
+                result = ENGINES[engine](tree, ops)
+                elapsed = time.perf_counter_ns() - started
+            finally:
+                gc.enable()
+            if run > 0:
+                times[engine].append(elapsed)
+            results[engine], trees[engine] = result, tree
+        order.reverse()
+    _check_roots_agree(results)
+    means = {engine: statistics.fmean(walls) for engine, walls in times.items()}
+    pct = percent_decrease(means[TWO_PHASE], means[OBU])
+    for engine, walls in times.items():
+        result = results[engine]
+        for run, wall in enumerate(walls, start=1):
             report.rows.append(
                 RunRecord(
                     report.workload, k, config.depth, engine, run,
@@ -243,19 +233,13 @@ def _bench_point(
                     result.counters.hash_invocations, result.new_root.hex(),
                 )
             )
-    _check_roots_agree(results)
-    pct = None
-    if TWO_PHASE in means and OBU in means:
-        pct = percent_decrease(means[TWO_PHASE], means[OBU])
-    for engine in config.engines():
         report.aggregates.append(
             _aggregate(
-                report.workload, k, config.depth, engine,
-                times_by_engine[engine], results[engine],
+                report.workload, k, config.depth, engine, walls, result,
                 pct if engine == OBU else None,
             )
         )
-    return means, pct, tree
+    return means, pct, trees[OBU]
 
 
 def _aggregate(
@@ -311,9 +295,7 @@ def run_micro(config: BenchConfig) -> BenchReport:
         base = gen(config.depth)
         if needs_population and ops:
             batch_update(base, setup_inserts(ops, seed=config.seed + 1))
-        _, pct, _ = _bench_point(report, config, k, base, ops)
-        if pct is not None:
-            pct_by_k[k] = pct
+        _, pct_by_k[k], _ = _bench_point(report, config, k, base, ops)
     report.stats = {"percent_decrease_by_k": pct_by_k}
     return report
 
@@ -370,9 +352,8 @@ def run_macro(config: BenchConfig) -> BenchReport:
     reductions_ns: list[float] = []
     for block, ops in replay_blocks(blocks, book):
         means, pct, tree = _bench_point(report, config, block.block_number, tree, ops)
-        if pct is not None:
-            percents.append(pct)
-            reductions_ns.append(means[TWO_PHASE] - means[OBU])
+        percents.append(pct)
+        reductions_ns.append(means[TWO_PHASE] - means[OBU])
 
     report.stats = {"blocks": len(blocks)}
     if percents:

@@ -41,7 +41,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--depth", type=int, default=24, help="tree depth (default 24)")
     sub.add_argument("--runs", type=int, default=10, help="timed runs per engine (default 10)")
     sub.add_argument("--seed", type=int, default=2024, help="workload seed")
-    sub.add_argument("--engine", choices=["obu", "two-phase", "both"], default="both")
     sub.add_argument("--out", required=True, help="per-run CSV path; aggregate CSV lands beside it")
 
 
@@ -83,7 +82,7 @@ def _write_report(report, out: str) -> None:
 
 def _cmd_micro(args: argparse.Namespace) -> int:
     config = BenchConfig(
-        engine=args.engine, depth=args.depth, runs=args.runs,
+        depth=args.depth, runs=args.runs,
         seed=args.seed, micro_workload=args.workload, k_sweep=args.k_sweep,
     )
     report = run_micro(config)
@@ -95,7 +94,7 @@ def _cmd_micro(args: argparse.Namespace) -> int:
 
 def _cmd_macro(args: argparse.Namespace) -> int:
     config = BenchConfig(
-        engine=args.engine, depth=args.depth, runs=args.runs,
+        depth=args.depth, runs=args.runs,
         seed=args.seed, trace_path=args.trace, filter_mode=args.filter,
     )
     report = run_macro(config)

@@ -5,9 +5,9 @@ leaf k lives at heap index 2^depth + k. Only non-default nodes are kept in
 the cache; absent entries resolve to the per-level default digest, which is
 what makes empty subtrees free to store and non-membership proofs possible.
 
-The leaf mutation primitives here deliberately do NOT refresh ancestor
-hashes. Rehashing is the job of the engines in `batch`; between a mutation
-and the next engine hash phase the cache invariant is allowed to be stale.
+Leaves change only through the engines in `batch`, which write each leaf
+digest first and rehash its ancestors in their hash phase; between the two
+the cache invariant is allowed to be stale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Mapping
 
-from .counters import CounterSet
 from .hasher import DEFAULT_SCHEME, MAX_HEIGHT, HashScheme, default_digests, hash_leaf, hash_node
 
 MAX_DEPTH = MAX_HEIGHT  # heap indices stay within 64-bit unsigned range
@@ -150,7 +149,6 @@ class SparseMerkleTree:
         self.cache: dict[int, bytes] = {}
         self.leaf_values: dict[int, bytes] = {}
         self.defaults: list[bytes] = default_digests(scheme, depth)
-        self.counters = CounterSet()
 
     @property
     def capacity(self) -> int:
@@ -174,48 +172,6 @@ class SparseMerkleTree:
 
     def root(self) -> bytes:
         return self.resolve(1)
-
-    # -- O(1) / O(log n) leaf primitives ------------------------------------
-
-    def insert_leaf(self, index: int, value: bytes) -> None:
-        """Add a new leaf, writing only its digest; ancestors are left stale
-        for the caller's hash phase.
-
-        Costs exactly `depth` node visits: the leaf write plus one read-only
-        probe per internal path level below the root.
-        """
-        self.check_range(index)
-        if index in self.leaf_values:
-            raise DuplicateLeafError(f"leaf {index} already present")
-        if value == self.scheme.default_payload:
-            raise DefaultPayloadError(f"leaf {index} would hold the default payload")
-        self.leaf_values[index] = value
-        node = self.leaf_heap_index(index)
-        self.cache[node] = self.scheme.hasher.leaf(value)
-        self.counters.node_visits += 1
-        node >>= 1
-        while node > 1:  # read-only probes: an insert stays O(log n) lookups
-            node in self.cache
-            self.counters.node_visits += 1
-            node >>= 1
-
-    def update_leaf(self, index: int, value: bytes) -> None:
-        """Rewrite an existing leaf in place; one node visit, no ancestor work."""
-        if index not in self.leaf_values:
-            raise MissingLeafError(f"leaf {index} not present")
-        if value == self.scheme.default_payload:
-            raise DefaultPayloadError(f"leaf {index} would hold the default payload")
-        self.leaf_values[index] = value
-        self.cache[self.leaf_heap_index(index)] = self.scheme.hasher.leaf(value)
-        self.counters.node_visits += 1
-
-    def remove_leaf(self, index: int) -> None:
-        """Delete a leaf, reverting its slot to the pruned default; one visit."""
-        if index not in self.leaf_values:
-            raise MissingLeafError(f"leaf {index} not present")
-        del self.leaf_values[index]
-        del self.cache[self.leaf_heap_index(index)]
-        self.counters.node_visits += 1
 
     # -- whole-tree operations ----------------------------------------------
 
@@ -257,7 +213,6 @@ class SparseMerkleTree:
         other.cache = dict(self.cache)
         other.leaf_values = dict(self.leaf_values)
         other.defaults = self.defaults
-        other.counters = CounterSet()
         return other
 
     def export_snapshot(self) -> str:

@@ -286,7 +286,7 @@ def test_c10_cli_contract(tmp_path, repo_root):
     macro_out = tmp_path / "macro.csv"
     cli(
         "macro", "--trace", str(bundled), "--filter", "transfer-swap",
-        "--engine", "both", "--runs", "3", "--out", str(macro_out),
+        "--runs", "3", "--out", str(macro_out),
     )
     unfiltered_out = tmp_path / "unfiltered.csv"
     cli("macro", "--trace", str(bundled), "--runs", "1", "--out", str(unfiltered_out))

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from smtbench.batch import (
 from smtbench.smt_core import (
     DefaultPayloadError,
     LeafOperation,
+    MissingLeafError,
     OpKind,
     check_consistency,
     gen,
@@ -335,6 +337,14 @@ def test_failed_random_batches_restore_pre_batch_state(engine):
         assert tree.root() == root, f"case {case}"
         chains += has_reinsert_chain(ops)
     assert chains > 0
+
+
+def test_precondition_error_survives_pickling():
+    error = BatchPreconditionError(3, MissingLeafError("leaf 7 not present"))
+    copy = pickle.loads(pickle.dumps(error))
+    assert copy.op_index == 3
+    assert type(copy.cause) is MissingLeafError
+    assert str(copy) == str(error) == "operation 3 rejected: leaf 7 not present"
 
 
 # -- wide levels ---------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import csv
+import gc
 import json
 
 import pytest
 
+from smtbench import bench
+from smtbench.batch import OBU, TWO_PHASE
 from smtbench.bench import (
     AGGREGATE_COLUMNS,
     RUN_COLUMNS,
@@ -49,8 +52,6 @@ def test_percent_decrease_rejects_zero_baseline():
 def test_config_rejects_bad_values():
     with pytest.raises(BenchConfigError):
         BenchConfig(runs=0).validate()
-    with pytest.raises(BenchConfigError):
-        BenchConfig(engine="warp").validate()
     with pytest.raises(BenchConfigError):
         BenchConfig(k_sweep=(-1,)).validate()
     with pytest.raises(BenchConfigError):
@@ -130,14 +131,29 @@ def test_schema_v2_columns():
     )
 
 
-def test_micro_single_engine_has_no_percent():
-    config = BenchConfig(
-        engine="obu", micro_workload="seq-insert", k_sweep=(8,), depth=8, runs=2
+def test_engines_alternate_in_pairs_with_gc_off(monkeypatch):
+    # Run r's pair goes two-phase first when r is even, obu first when odd;
+    # run 0 is the warm-up. GC is off inside every engine call.
+    calls = []
+
+    def recording(name, engine):
+        def call(tree, ops):
+            calls.append((name, gc.isenabled()))
+            return engine(tree, ops)
+        return call
+
+    stubs = {name: recording(name, engine) for name, engine in bench.ENGINES.items()}
+    monkeypatch.setattr(bench, "ENGINES", stubs)
+    report = run_micro(
+        BenchConfig(micro_workload="seq-update", k_sweep=(4,), depth=6, runs=3)
     )
-    report = run_micro(config)
-    assert len(report.rows) == 2
-    assert report.aggregates[0].percent_decrease is None
-    assert report.stats["percent_decrease_by_k"] == {}
+    pairs = [(TWO_PHASE, OBU), (OBU, TWO_PHASE)] * 2
+    assert calls == [(name, False) for pair in pairs for name in pair]
+    assert gc.isenabled()
+    # Rows stay engine-major.
+    assert [(r.engine, r.run) for r in report.rows] == [
+        (engine, run) for engine in (TWO_PHASE, OBU) for run in (1, 2, 3)
+    ]
 
 
 def test_micro_rand_update_and_insert_workloads_run():
@@ -201,8 +217,8 @@ def test_macro_filter_mode(small_trace, tmp_path):
 
 
 def test_macro_clones_only_for_timed_runs(small_trace, monkeypatch):
-    # Each block clones once per timed or warm-up run and advances to the
-    # tree its last run left, without a further clone and engine call.
+    # Each block clones once per engine call, timed or warm-up, and advances
+    # to the tree obu's last run left, without a further clone and engine call.
     clones = []
     clone = SparseMerkleTree.clone
 

@@ -38,7 +38,7 @@ def test_macro_subcommand(tmp_path, repo_root):
     out = tmp_path / "macro.csv"
     proc = run_cli(
         "macro", "--trace", str(repo_root / "traces" / "hot_account.json"),
-        "--filter", "all", "--engine", "both", "--depth", "12",
+        "--filter", "all", "--depth", "12",
         "--runs", "2", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
@@ -92,6 +92,17 @@ def test_threads_option_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_engine_option_is_rejected(tmp_path, capsys):
+    # Both engines always run, in alternating pairs; the old knob is now a
+    # usage error.
+    assert main([
+        "micro", "--workload", "seq-update", "--engine", "obu",
+        "--out", str(tmp_path / "x.csv"),
+    ]) == 1
+    assert "unrecognized arguments: --engine obu" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 
@@ -103,18 +114,6 @@ def test_unwritable_out_is_io_error(tmp_path):
         "--out", str(tmp_path / "missing_dir" / "x.csv"),
     )
     assert proc.returncode == 2
-
-
-def test_single_engine_cli(tmp_path):
-    out = tmp_path / "obu.csv"
-    proc = run_cli(
-        "micro", "--workload", "seq-insert", "--k-sweep", "4", "--depth", "6",
-        "--runs", "1", "--engine", "obu", "--out", str(out),
-    )
-    assert proc.returncode == 0, proc.stderr
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert {row["engine"] for row in rows} == {"obu"}
 
 
 def test_macro_replay_error_names_block_and_tx(tmp_path):

@@ -1,15 +1,12 @@
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smtbench.batch import BatchPreconditionError
+from smtbench.batch import OBU, TWO_PHASE, BatchPreconditionError, batch_update, two_phase_update
 from smtbench.hasher import DEFAULT_SCHEME, BoundHasher, HashScheme, hash_leaf, hash_node
-import smtbench
 from smtbench.smt_core import (
     ConfigError,
     ConsistencyError,
@@ -33,6 +30,7 @@ from oracles import empty_digests, fold_witness, naive_root
 
 EMPTY_ROOT_24 = bytes.fromhex("8d6446d4c64ee7ebb1221fed67e95b054036fa2076e31142638b7348e875adc7")
 THREE_LEAF_ROOT = bytes.fromhex("f8191d65220004613d2c54587d53209cc93885700054343ace74abaaae72c0c1")
+ENGINES = (batch_update, two_phase_update)
 
 
 def build(depth: int, leaves: dict[int, bytes]) -> SparseMerkleTree:
@@ -61,51 +59,50 @@ def test_gen_rejects_bad_depth(depth):
         gen(depth)
 
 
-# -- leaf primitives ----------------------------------------------------------
+# -- leaf preconditions and charges, through both engines ------------------------
+
+PRECONDITIONS = {  # failing op after one good insert: (initial leaves, op, cause)
+    "duplicate-insert": ({3: b"a"}, LeafOperation.insert(3, b"b"), DuplicateLeafError),
+    "out-of-range-insert": ({}, LeafOperation.insert(16, b"a"), LeafRangeError),
+    "missing-update": ({}, LeafOperation.update(0, b"x"), MissingLeafError),
+    "missing-remove": ({}, LeafOperation.remove(0), MissingLeafError),
+    "default-payload": ({5: b"x"}, LeafOperation.update(5, b""), DefaultPayloadError),
+}
 
 
-def test_insert_visits_equal_depth():
-    tree = gen(4)
-    tree.insert_leaf(0, b"a")
-    assert tree.counters.node_visits == 4
-    assert list(tree.cache) == [tree.leaf_heap_index(0)]  # no ancestor is written
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+@pytest.mark.parametrize("case", PRECONDITIONS)
+def test_leaf_precondition_rejected_by_engine(engine, case):
+    initial, bad, cause = PRECONDITIONS[case]
+    tree = build(4, initial)
+    cache, leaves = dict(tree.cache), dict(tree.leaf_values)
+    with pytest.raises(BatchPreconditionError) as err:
+        engine(tree, [LeafOperation.insert(9, b"v"), bad])
+    assert err.value.op_index == 1
+    assert type(err.value.cause) is cause
+    assert tree.cache == cache and tree.leaf_values == leaves
 
 
-def test_insert_duplicate_rejected():
-    tree = gen(4)
-    tree.insert_leaf(3, b"a")
-    with pytest.raises(DuplicateLeafError):
-        tree.insert_leaf(3, b"b")
-
-
-def test_insert_out_of_range():
-    tree = gen(4)
-    with pytest.raises(LeafRangeError):
-        tree.insert_leaf(16, b"a")
-
-
-def test_update_is_one_visit():
+@pytest.mark.parametrize(
+    "op, visits",
+    [
+        (LeafOperation.insert(0, b"a"), 4),  # the leaf write plus one probe per internal level
+        (LeafOperation.update(5, b"y"), 1),
+        (LeafOperation.remove(5), 1),
+    ],
+    ids=["insert", "update", "remove"],
+)
+def test_obu_leaf_phase_visits(op, visits):
     tree = build(4, {5: b"x"})
-    before = tree.counters.node_visits
-    tree.update_leaf(5, b"y")
-    assert tree.counters.node_visits == before + 1
+    assert batch_update(tree, [op]).counters.leaf_phase_visits == visits
 
 
-def test_update_missing_rejected():
-    with pytest.raises(MissingLeafError):
-        gen(4).update_leaf(0, b"x")
-
-
-def test_remove_is_one_visit():
-    tree = build(4, {5: b"x"})
-    before = tree.counters.node_visits
-    tree.remove_leaf(5)
-    assert tree.counters.node_visits == before + 1
-
-
-def test_remove_missing_rejected():
-    with pytest.raises(MissingLeafError):
-        gen(4).remove_leaf(0)
+def test_obu_insert_writes_one_leaf_key_and_its_path():
+    # The leaf phase writes only the leaf digest; the sweep adds one
+    # ancestor per level and no sibling placeholder.
+    tree = gen(4)
+    batch_update(tree, [LeafOperation.insert(0, b"a")])
+    assert sorted(tree.cache) == [1, 2, 4, 8, 16]
 
 
 def test_update_identical_value_keeps_root():
@@ -167,8 +164,6 @@ def test_commit_out_of_range_key():
 
 
 def test_apply_op_matches_singleton_batch():
-    from smtbench.batch import batch_update
-
     t1 = build(4, {2: b"v"})
     t2 = t1.clone()
     root1 = t1.apply_op(LeafOperation.update(2, b"w"))
@@ -289,11 +284,10 @@ def test_present_leaf_may_not_hold_the_default_payload():
         tree.commit({5: b""})
     assert isinstance(err.value.cause, DefaultPayloadError)
     assert tree.cache == {} and tree.leaf_values == {}
-    with pytest.raises(DefaultPayloadError):
-        tree.insert_leaf(5, b"")
     tree.commit({5: b"v"})
-    with pytest.raises(DefaultPayloadError):
-        tree.update_leaf(5, b"")
+    with pytest.raises(BatchPreconditionError) as err:
+        tree.commit({5: b""})
+    assert isinstance(err.value.cause, DefaultPayloadError)
     assert tree.leaf_values == {5: b"v"}
     assert not non_member_verify(tree.root(), tree.member_witness_create(5), 8)
 
@@ -382,11 +376,8 @@ def test_consistency_error_survives_optimize():
         "except ConsistencyError as exc:\n"
         "    print('raised', isinstance(exc, SmtError), isinstance(exc, AssertionError))\n"
     )
-    src = str(Path(smtbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", "True", "True"]
