@@ -57,6 +57,7 @@ ENGINES: dict[str, Callable[..., BatchResult]] = {
 }
 FIXTURE_KINDS = ("synthetic100", "hot", "dispersed")
 DEFAULT_FIXTURE_SEED = 1318
+REPO_ROOT = Path(__file__).resolve().parents[2]  # the checkout, when run from src/
 
 
 class BenchConfigError(ValueError):
@@ -183,9 +184,31 @@ def stats_path(out: str | Path) -> Path:
     return out.with_name(out.stem + "_stats.json")
 
 
-def _environment_note() -> str:
+def _git_sha(root: Path) -> str | None:
+    """The commit checked out at `root`, read from `.git` without running git;
+    None outside a checkout."""
+    git = root / ".git"
+    head = git / "HEAD"
+    if not head.is_file():
+        return None
+    ref = head.read_text().strip()
+    if not ref.startswith("ref: "):
+        return ref  # a detached HEAD holds the SHA itself
+    name = ref[5:]
+    loose, packed = git / name, git / "packed-refs"
+    if loose.is_file():
+        return loose.read_text().strip()
+    if packed.is_file():
+        for line in packed.read_text().splitlines():
+            if line.endswith(" " + name):
+                return line.split(" ", 1)[0]
+    return None
+
+
+def _environment_note(root: Path = REPO_ROOT) -> str:
     return (
         f"python {platform.python_version()}, {os.cpu_count()} hardware threads, "
+        f"git {_git_sha(root) or 'unknown'}, "
         "in-process timing (both phases timed inside one process)"
     )
 
@@ -199,9 +222,10 @@ def _bench_point(
 ) -> tuple[dict[str, float], float, SparseMerkleTree]:
     """Time both engines on `ops` from clones of `base`, in pairs that
     alternate which engine goes first, after an untimed warm-up pair, with GC
-    off inside each call. Appends the run rows and aggregates to `report` and
-    returns each engine's mean wall time, the percent decrease, and the tree
-    `obu` left."""
+    off inside each call and left as the caller had it after. Appends the run
+    rows and aggregates to `report` and returns each engine's mean wall time,
+    the percent decrease, and the tree `obu` left."""
+    gc_was_enabled = gc.isenabled()
     times: dict[str, list[int]] = {TWO_PHASE: [], OBU: []}
     results: dict[str, BatchResult] = {}
     trees: dict[str, SparseMerkleTree] = {}
@@ -215,7 +239,8 @@ def _bench_point(
                 result = ENGINES[engine](tree, ops)
                 elapsed = time.perf_counter_ns() - started
             finally:
-                gc.enable()
+                if gc_was_enabled:
+                    gc.enable()
             if run > 0:
                 times[engine].append(elapsed)
             results[engine], trees[engine] = result, tree

@@ -125,10 +125,18 @@ class BlockTrace:
 
 
 class AccountBook:
-    """Mutable account registry advanced alongside trace replay."""
+    """Mutable account registry advanced alongside trace replay.
+
+    Besides `accounts`, the book keeps the account `tx_to_leaf_ops` last
+    encoded at each index, with its payload, so `apply_leaf_ops` can take it
+    back without decoding the payload again. That map holds at most one entry
+    per index; `clone` starts it empty. A recorded account is a fresh object
+    nothing else holds, so the book can keep it as it is.
+    """
 
     def __init__(self, accounts: Iterable[Account] = ()) -> None:
         self.accounts: dict[int, Account] = {a.account_id: a for a in accounts}
+        self._encoded: dict[int, tuple[bytes, Account]] = {}
 
     def __contains__(self, index: int) -> bool:
         return index in self.accounts
@@ -163,12 +171,13 @@ def tx_to_leaf_ops(tx: TxRecord, book: AccountBook) -> list[LeafOperation]:
     """Decompose one transaction into its one or two leaf operations, one
     per step of its type.
 
-    Reads `book` but never writes it; op payloads are the encoded
+    Never changes `book.accounts`; op payloads are the encoded
     post-transaction account states, and a second step on the same account
-    starts from the first step's result. Apply the returned ops with
+    starts from the first step's result. Each account it encodes is recorded
+    in the book beside its payload. Apply the returned ops with
     `apply_leaf_ops` to advance the book before the next transaction.
     """
-    accounts = book.accounts
+    accounts, encoded = book.accounts, book._encoded
     token, amount = tx.token_id, tx.amount
     ops = []
     last_index = last = None  # the previous step's account index and result
@@ -182,7 +191,9 @@ def tx_to_leaf_ops(tx: TxRecord, book: AccountBook) -> list[LeafOperation]:
                     f"{tx.tx_type.value} expects account {index} to be new"
                 )
             last = Account(index, 0, default_pubkey(index), {token: delta} if delta else {})
-            ops.append(LeafOperation.insert(index, encode_account(last)))
+            payload = encode_account(last)
+            encoded[index] = payload, last
+            ops.append(LeafOperation.insert(index, payload))
         elif account is None:
             raise TraceValidationError(
                 f"{tx.tx_type.value} references absent account {index}"
@@ -193,19 +204,30 @@ def tx_to_leaf_ops(tx: TxRecord, book: AccountBook) -> list[LeafOperation]:
         else:
             rotated = _rotated_pubkey(index, account.nonce + 1) if action == ROTATE else None
             last = apply_delta(account, token, delta, bump_nonce, rotated)
-            ops.append(LeafOperation.update(index, encode_account(last)))
+            payload = encode_account(last)
+            encoded[index] = payload, last
+            ops.append(LeafOperation.update(index, payload))
         last_index = index
     return ops
 
 
 def apply_leaf_ops(book: AccountBook, ops: Iterable[LeafOperation]) -> None:
-    """Advance the account book past a batch of decomposed operations."""
-    accounts = book.accounts
+    """Advance the account book past a batch of decomposed operations.
+
+    An op whose payload is the very bytes object `tx_to_leaf_ops` recorded
+    for its index takes the recorded account; any other op, such as a
+    hand-built one, is decoded. Every op clears its index's record.
+    """
+    accounts, encoded = book.accounts, book._encoded
     for op in ops:
+        index = op.index
+        recorded = encoded.pop(index, None)
         if op.kind is OpKind.REMOVE:
-            del accounts[op.index]
+            del accounts[index]
+        elif recorded is not None and recorded[0] is op.value:
+            accounts[index] = recorded[1]
         else:
-            accounts[op.index] = decode_account(op.value, op.index)
+            accounts[index] = decode_account(op.value, index)
 
 
 # What `tx_to_leaf_ops` raises for a transaction the book cannot take.

@@ -3,15 +3,19 @@
 Nothing here touches the tree cache, the default-digest table, or either
 engine: roots come from plain recursion over the whole index space, ancestor
 sets from per-leaf heap walks. Only the two hash primitives are shared, and
-those are pinned against openssl-derived constants in test_hasher.
+those are pinned against openssl-derived constants in test_hasher. The book
+replay shares decomposition with the library but decodes every payload, with
+the codec test_account_model pins.
 """
 
 from __future__ import annotations
 
 import random
 
+from smtbench.account_model import decode_account
 from smtbench.hasher import DEFAULT_SCHEME, HashScheme, hash_leaf, hash_node
 from smtbench.smt_core import LeafOperation, OpKind
+from smtbench.workload import tx_to_leaf_ops
 
 
 def naive_root(depth: int, leaves: dict[int, bytes], scheme: HashScheme = DEFAULT_SCHEME) -> bytes:
@@ -71,6 +75,29 @@ def final_leaves(initial: dict[int, bytes], ops: list[LeafOperation]) -> dict[in
             del out[op.index]
         else:
             out[op.index] = op.value
+    return out
+
+
+def decode_apply(book, ops: list[LeafOperation]) -> None:
+    """`apply_leaf_ops` as a plain decode of every payload, ignoring the
+    accounts the book recorded while encoding."""
+    for op in ops:
+        if op.kind is OpKind.REMOVE:
+            del book.accounts[op.index]
+        else:
+            book.accounts[op.index] = decode_account(op.value, op.index)
+
+
+def decode_replay(blocks, book) -> list[list[LeafOperation]]:
+    """Each block's ops, decomposed in order and applied with `decode_apply`."""
+    out = []
+    for block in blocks:
+        block_ops: list[LeafOperation] = []
+        for tx in block.txs:
+            ops = tx_to_leaf_ops(tx, book)
+            decode_apply(book, ops)
+            block_ops.extend(ops)
+        out.append(block_ops)
     return out
 
 

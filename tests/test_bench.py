@@ -156,6 +156,33 @@ def test_engines_alternate_in_pairs_with_gc_off(monkeypatch):
     ]
 
 
+def test_bench_point_leaves_gc_as_the_caller_had_it():
+    gc.disable()
+    try:
+        run_micro(BenchConfig(depth=8, runs=1, micro_workload="rand-update", k_sweep=(4,)))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_environment_note_names_the_checked_out_commit(tmp_path):
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "refs" / "heads" / "main").write_text(sha + "\n")
+    assert f", git {sha}, " in bench._environment_note(tmp_path)
+    (git / "refs" / "heads" / "main").unlink()
+    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{sha} refs/heads/main\n")
+    assert f", git {sha}, " in bench._environment_note(tmp_path)
+    (git / "HEAD").write_text(sha[::-1] + "\n")  # detached
+    assert f", git {sha[::-1]}, " in bench._environment_note(tmp_path)
+
+
+def test_environment_note_outside_a_checkout(tmp_path):
+    assert ", git unknown, " in bench._environment_note(tmp_path)
+
+
 def test_micro_rand_update_and_insert_workloads_run():
     for workload in ("rand-update", "seq-insert"):
         config = BenchConfig(

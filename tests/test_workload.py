@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from smtbench import workload
 from smtbench.account_model import Account, InsufficientBalanceError, encode_account
 from smtbench.batch import batch_update, two_phase_update
 from smtbench.smt_core import LeafOperation, LeafRangeError, OpKind, check_consistency, gen
@@ -34,7 +35,7 @@ from smtbench.workload import (
     tx_to_leaf_ops,
 )
 
-from oracles import naive_root
+from oracles import decode_apply, decode_replay, naive_root
 
 
 def funded_book(*indices, token=0, balance=10**9) -> AccountBook:
@@ -185,11 +186,20 @@ def test_replay_error_names_block_tx_and_type():
 
 
 def test_failed_tx_leaves_the_book_untouched():
-    book = funded_book(1, 2)
+    # The swap's first step succeeds and is recorded; its second raises. Later
+    # applies, hand-built and decomposed, match the decode-only reference.
+    book, reference = funded_book(1, 2), funded_book(1, 2)
     before = dict(book.accounts)
     with pytest.raises(InsufficientBalanceError):
         tx_to_leaf_ops(TxRecord(TxType.SWAP, 1, 2, 0, -10**10), book)
     assert book.accounts == before
+    hand = Account(1, 3, default_pubkey(1), {0: 10**9})
+    for apply, target in ((apply_leaf_ops, book), (decode_apply, reference)):
+        apply(target, [LeafOperation.update(1, encode_account(hand))])
+        for tx in (TxRecord(TxType.TRANSFER, 1, 2, 0, 10), TxRecord(TxType.SWAP, 2, 1, 0, 4)):
+            apply(target, tx_to_leaf_ops(tx, target))
+    assert book.accounts == reference.accounts
+    assert book.get(1) == Account(1, 5, default_pubkey(1), {0: 10**9 - 6})
 
 
 def test_self_transfer_threads_state_through_the_tx():
@@ -199,6 +209,86 @@ def test_self_transfer_threads_state_through_the_tx():
     apply_leaf_ops(book, ops)
     assert book.get(1).balances[0] == 10**9
     assert book.get(1).nonce == 1
+
+
+# -- reusing the accounts decomposition encoded ---------------------------------------
+
+
+def _trace_blocks(repo_root, source):
+    if isinstance(source, int):
+        return gen_synthetic_blocks(seed=source)
+    return parse_block_trace(repo_root / "traces" / source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["hot_account.json", "dispersed.json", "synthetic_100blocks.json", 1, 2, 3, 4, 5],
+)
+def test_replay_matches_the_decode_only_reference(repo_root, source):
+    blocks = _trace_blocks(repo_root, source)
+    book, reference = build_preseed_book(blocks), build_preseed_book(blocks)
+    replayed = replay_blocks(blocks, book)
+    assert [ops for _, ops in replayed] == decode_replay(blocks, reference)
+    assert book.accounts == reference.accounts
+
+
+def test_replay_reuses_every_account_and_empties_the_record(repo_root, monkeypatch):
+    def no_decode(data, account_id):
+        raise AssertionError(f"decoded account {account_id}")
+
+    blocks = _trace_blocks(repo_root, "synthetic_100blocks.json")
+    book = build_preseed_book(blocks)
+    monkeypatch.setattr(workload, "decode_account", no_decode)
+    replay_blocks(blocks, book)
+    assert book._encoded == {}
+
+
+def test_hand_built_ops_are_decoded():
+    book = funded_book(1)
+    account = Account(1, 7, default_pubkey(1), {0: 5, 3: 2})
+    apply_leaf_ops(book, [LeafOperation.update(1, encode_account(account)),
+                          LeafOperation.insert(4, encode_account(Account(4)))])
+    assert book.accounts == {1: account, 4: Account(4)}
+
+
+def test_a_payload_that_is_not_the_recorded_one_is_decoded():
+    # The record at index 1 is for another payload: the op's own payload wins.
+    book = funded_book(1, 2)
+    tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 100), book)
+    other = Account(1, 7, default_pubkey(1), {0: 5})
+    apply_leaf_ops(book, [LeafOperation.update(1, encode_account(other))])
+    assert book.get(1) == other
+    # An equal payload in another bytes object is decoded, to an equal account.
+    ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 1), book)
+    recorded = book._encoded[1][1]
+    copy = LeafOperation.update(1, bytes(bytearray(ops[0].value)))
+    apply_leaf_ops(book, [copy])
+    assert book.get(1) == recorded and book.get(1) is not recorded
+
+
+@pytest.mark.parametrize("tx_type, nonce", [(TxType.TRANSFER, 1), (TxType.SWAP, 2)])
+def test_self_transfer_and_self_swap_end_states(tx_type, nonce):
+    book, reference = funded_book(1), funded_book(1)
+    tx = TxRecord(tx_type, 1, 1, 0, 100)
+    apply_leaf_ops(book, tx_to_leaf_ops(tx, book))
+    decode_apply(reference, tx_to_leaf_ops(tx, reference))
+    assert book.accounts == reference.accounts == {
+        1: Account(1, nonce, default_pubkey(1), {0: 10**9})
+    }
+    assert book._encoded == {}
+
+
+def test_a_clone_does_not_see_the_originals_records():
+    book = funded_book(1, 2)
+    ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 100), book)
+    recorded = book._encoded[1][1]
+    clone = book.clone()
+    assert clone._encoded == {}
+    apply_leaf_ops(clone, ops)
+    assert clone.get(1) == recorded and clone.get(1) is not recorded
+    assert set(book._encoded) == {1, 2}
+    apply_leaf_ops(book, ops)
+    assert book.get(1) is recorded
 
 
 def test_priority_flag():
