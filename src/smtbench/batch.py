@@ -12,10 +12,11 @@ and duplicate-free. Each affected path is walked once.
 traversal per operation to mutate the leaf, then a recursive top-down rehash
 of the stale paths, so every affected path is walked twice.
 
-Both engines check and write each leaf through `_write_leaf`; only what they
-charge for it and how they rehash differ. Both produce bytewise-identical
-roots, final tree states, and hash counts on the same inputs; the difference
-the benchmarks measure is traversal work. Both run on the calling thread.
+Both engines check, write and, on a failed precondition, undo a batch's
+leaves through one `_write_leaves` call; only what they charge for it and how
+they rehash differ. Both produce bytewise-identical roots, final tree states,
+and hash counts on the same inputs; the difference the benchmarks measure is
+traversal work. Both run on the calling thread.
 """
 
 from __future__ import annotations
@@ -62,45 +63,60 @@ class BatchResult:
     level_work_lists: list[list[int]] | None = None
 
 
-# -- shared leaf-phase mechanics ---------------------------------------------
-
-# Undo records: (index, old_value, old_digest), both None when the leaf was absent.
-_Journal = list[tuple[int, bytes | None, bytes | None]]
+# -- shared leaf phase -------------------------------------------------------
 
 
-def _rollback(tree: SparseMerkleTree, journal: _Journal) -> None:
-    for index, value, digest in reversed(journal):
-        heap = tree.leaf_heap_index(index)
-        if value is None:
-            del tree.leaf_values[index]
-            del tree.cache[heap]
-        else:
-            tree.leaf_values[index] = value
-            tree.cache[heap] = digest
+def _write_leaves(tree: SparseMerkleTree, ops: list[LeafOperation]) -> dict[int, bytes | None]:
+    """Check each op's preconditions and write or delete its leaf digest, in
+    order; ancestors stay stale for the engine's hash phase. Returns the dirty
+    leaf slots: heap index -> new leaf digest, or None where the slot's last op
+    removed it. On the first failing op, which has mutated nothing, every
+    earlier write is undone, restoring the old digests as they were, and
+    BatchPreconditionError is raised."""
+    values, cache, leaf_base = tree.leaf_values, tree.cache, tree.capacity
+    default_payload, leaf_hash = tree.scheme.default_payload, tree.scheme.hasher.leaf
+    insert = OpKind.INSERT
+    # Undo records: (index, old_value, old_digest), both None when the leaf was absent.
+    journal: list[tuple[int, bytes | None, bytes | None]] = []
+    written: dict[int, bytes | None] = {}
+    try:
+        for op in ops:
+            index, value = op.index, op.value
+            old_value = values.get(index)
+            if op.kind is insert:
+                tree.check_range(index)
+                if old_value is not None:
+                    raise DuplicateLeafError(f"leaf {index} already present")
+            elif old_value is None:
+                raise MissingLeafError(f"leaf {index} not present")
+            if value == default_payload:  # a remove's value is None
+                raise DefaultPayloadError(f"leaf {index} would hold the default payload")
+            heap = leaf_base + index
+            journal.append((index, old_value, cache.get(heap)))
+            if value is None:
+                del values[index]
+                del cache[heap]
+                written[heap] = None
+            else:
+                values[index] = value
+                cache[heap] = written[heap] = leaf_hash(value)
+    except SmtError as exc:
+        for index, value, digest in reversed(journal):
+            heap = leaf_base + index
+            if value is None:
+                del values[index]
+                del cache[heap]
+            else:
+                values[index] = value
+                cache[heap] = digest
+        raise BatchPreconditionError(len(journal), exc) from exc
+    return written
 
 
-def _write_leaf(tree: SparseMerkleTree, op: LeafOperation, journal: _Journal) -> None:
-    """Check one op's preconditions, record its undo state, then write or
-    delete its leaf digest; ancestors stay stale for the engine's hash phase.
-    Raises before mutating."""
-    index, value = op.index, op.value
-    old_value = tree.leaf_values.get(index)
-    if op.kind is OpKind.INSERT:
-        tree.check_range(index)
-        if old_value is not None:
-            raise DuplicateLeafError(f"leaf {index} already present")
-    elif old_value is None:
-        raise MissingLeafError(f"leaf {index} not present")
-    if value == tree.scheme.default_payload:  # a remove's value is None
-        raise DefaultPayloadError(f"leaf {index} would hold the default payload")
-    heap = tree.capacity + index
-    journal.append((index, old_value, tree.cache.get(heap)))
-    if value is None:
-        del tree.leaf_values[index]
-        del tree.cache[heap]
-    else:
-        tree.leaf_values[index] = value
-        tree.cache[heap] = tree.scheme.hasher.leaf(value)
+def _hashed_leaf_count(ops: list[LeafOperation]) -> int:
+    """Distinct leaves hashed: each once, however often it was rewritten,
+    even if a later op removed it."""
+    return len({op.index for op in ops if op.value is not None})
 
 
 # -- one-phase batch update ----------------------------------------------------
@@ -116,39 +132,28 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
         return BatchResult(tree.root(), counters, OBU, [])
 
     started = time.perf_counter_ns()
-    touched: set[int] = set()
-    hashed_leaves: set[int] = set()
-    journal: _Journal = []
-    cache, depth, leaf_base = tree.cache, tree.depth, tree.capacity
-    visits = 0
-    for op_index, op in enumerate(ops):
-        try:
-            _write_leaf(tree, op, journal)
-        except SmtError as exc:
-            _rollback(tree, journal)
-            raise BatchPreconditionError(op_index, exc) from exc
-        node = leaf_base + op.index
-        if op.kind is OpKind.INSERT:
-            visits += depth
-            parent = node >> 1
+    written = _write_leaves(tree, ops)
+    cache, depth, leaf_base, insert = tree.cache, tree.depth, tree.capacity, OpKind.INSERT
+    inserts = 0
+    for op in ops:
+        if op.kind is insert:
+            inserts += 1
+            parent = (leaf_base + op.index) >> 1
             while parent > 1:  # read-only probes: an insert stays O(log n) lookups
                 parent in cache
                 parent >>= 1
-        else:
-            visits += 1
-        if op.kind is not OpKind.REMOVE:
-            hashed_leaves.add(op.index)
-        touched.add(node)
+    visits = len(ops) + (depth - 1) * inserts
+    hashed_leaves = _hashed_leaf_count(ops)
     counters.leaf_phase_visits = visits
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
     defaults = tree.defaults
     node_hash, get = tree.scheme.hasher.node, cache.get
-    # The touched leaf slots are the schedule's first level; each level below
+    # The dirty leaf slots are the schedule's first level; each level below
     # appends its parents, bottom-up. A removed leaf carries the default digest.
-    nodes = sorted(touched)
-    digests = [get(node, defaults[depth]) for node in nodes]
+    nodes = sorted(written)
+    digests = [written[node] or defaults[depth] for node in nodes]
     work_lists: list[list[int]] = [nodes]
     rehashed = 0
     for level in range(depth - 1, -1, -1):
@@ -181,7 +186,7 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
         rehashed += len(nodes)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     counters.node_visits = visits + rehashed
-    counters.hash_invocations = len(hashed_leaves) + rehashed
+    counters.hash_invocations = hashed_leaves + rehashed
     counters.levels_processed = depth
     return BatchResult(tree.root(), counters, OBU, work_lists)
 
@@ -198,29 +203,23 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
         return BatchResult(tree.root(), counters, TWO_PHASE)
 
     started = time.perf_counter_ns()
+    _write_leaves(tree, ops)
+    leaf_base = tree.capacity
     stale: set[int] = set()
-    hashed_leaves: set[int] = set()
-    journal: _Journal = []
-    for op_index, op in enumerate(ops):
-        try:
-            _write_leaf(tree, op, journal)
-        except SmtError as exc:
-            _rollback(tree, journal)
-            raise BatchPreconditionError(op_index, exc) from exc
-        counters.node_visits += tree.depth
-        if op.kind is not OpKind.REMOVE:
-            hashed_leaves.add(op.index)
-        node = tree.leaf_heap_index(op.index)
+    mark = stale.add
+    for op in ops:
+        node = leaf_base + op.index
         while node >= 1:
-            stale.add(node)
+            mark(node)
             node >>= 1
-    counters.leaf_phase_visits = counters.node_visits
+    hashed_leaves = _hashed_leaf_count(ops)
+    counters.leaf_phase_visits = counters.node_visits = tree.depth * len(ops)
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
     new_root = _rehash_recursive(tree, 1, stale, counters)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
-    counters.hash_invocations += len(hashed_leaves)
+    counters.hash_invocations += hashed_leaves
     counters.levels_processed = tree.depth
     return BatchResult(new_root, counters, TWO_PHASE)
 

@@ -80,11 +80,17 @@ class LeafOperation:
     value: bytes | None
 
     def __init__(self, kind: OpKind, index: int, value: bytes | None = None) -> None:
+        # Checked here so no engine can fail mid-batch on a mistyped op, past
+        # the reach of its rollback.
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise TypeError(f"index must be an int, got {type(index).__name__}")
         if kind is OpKind.REMOVE:
             if value is not None:
                 raise ValueError("remove carries no value")
         elif value is None:
             raise ValueError(f"{kind.value} requires a value")
+        elif not isinstance(value, bytes):
+            raise TypeError(f"{kind.value} value must be bytes, got {type(value).__name__}")
         _set_kind(self, kind)
         _set_index(self, index)
         _set_value(self, value)

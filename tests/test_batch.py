@@ -1,8 +1,10 @@
+import hashlib
 import pickle
 import random
 
 import pytest
 
+from smtbench import batch
 from smtbench.batch import (
     OBU,
     TWO_PHASE,
@@ -18,6 +20,7 @@ from smtbench.smt_core import (
     check_consistency,
     gen,
     level_of,
+    load_snapshot,
 )
 
 from oracles import ancestor_union, final_leaves, naive_root, random_case
@@ -279,6 +282,30 @@ def test_first_op_failure_names_index_zero(engine):
     assert tree.cache == {}
 
 
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: [LeafOperation.update(1.0, b"x")], "index must be an int"),
+        (lambda: [LeafOperation.insert(3, b"a"), LeafOperation.insert(2, "str")],
+         "insert value must be bytes"),
+        (lambda: [LeafOperation.insert(3, b"a"), LeafOperation.insert("7", b"b")],
+         "index must be an int"),
+    ],
+    ids=["float-index", "str-value", "str-index"],
+)
+def test_malformed_ops_never_reach_the_tree(engine, build, message):
+    # A mistyped op is refused when it is built: inside an engine it would
+    # fail with a TypeError mid-batch, which no rollback undoes.
+    tree = populated(4, {1: b"a"})
+    cache, leaves = dict(tree.cache), dict(tree.leaf_values)
+    with pytest.raises(TypeError, match=message):
+        engine(tree, build())
+    assert tree.cache == cache
+    assert tree.leaf_values == leaves
+    check_consistency(tree)
+
+
 def test_failed_batch_after_insert_leaves_empty_cache():
     tree = gen(6)
     with pytest.raises(BatchPreconditionError):
@@ -347,6 +374,81 @@ def test_precondition_error_survives_pickling():
     assert str(copy) == str(error) == "operation 3 rejected: leaf 7 not present"
 
 
+# -- shared leaf writer ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_rollback_restores_a_non_canonical_leaf_digest(engine):
+    # The undo record keeps the old digest itself: a rollback that rehashed
+    # the old value would write hash_leaf(b"a"), not these bytes.
+    odd = bytes(range(32))
+    tree = load_snapshot(f"{(1 << 4) + 1} {odd.hex()}\nL 1 {b'a'.hex()}\n", 4)
+    cache, leaves = dict(tree.cache), dict(tree.leaf_values)
+    with pytest.raises(BatchPreconditionError) as err:
+        engine(tree, [LeafOperation.update(1, b"b"), LeafOperation.remove(2)])
+    assert err.value.op_index == 1
+    assert tree.cache == cache
+    assert tree.leaf_values == leaves
+
+
+def test_sweep_first_level_carries_each_slots_last_write():
+    # Leaf 5 is inserted then removed, so its slot carries the default digest;
+    # leaf 1 is updated twice, so its slot carries the second digest.
+    tree = populated(4, {1: b"a"})
+    ops = [
+        LeafOperation.insert(5, b"x"),
+        LeafOperation.update(1, b"b"),
+        LeafOperation.remove(5),
+        LeafOperation.update(1, b"c"),
+    ]
+    result = batch_update(tree, ops)
+    assert result.level_work_lists[0] == [(1 << 4) + 1, (1 << 4) + 5]
+    assert result.new_root == naive_root(4, {1: b"c"})
+    assert tree.cache == populated(4, {1: b"c"}).cache
+    assert result.counters.hash_invocations == 2 + len(ancestor_union(4, {1, 5}))
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_engines_write_leaves_once_per_nonempty_batch(engine, monkeypatch):
+    calls = []
+    write_leaves = batch._write_leaves
+
+    def counting(tree, ops):
+        calls.append(len(ops))
+        return write_leaves(tree, ops)
+
+    tree = populated(6, {1: b"a", 2: b"b"})
+    monkeypatch.setattr(batch, "_write_leaves", counting)
+    engine(tree, [])
+    engine(tree, [LeafOperation.update(1, b"c"), LeafOperation.insert(9, b"d"),
+                  LeafOperation.remove(2)])
+    engine(tree, [LeafOperation.update(9, b"e")])
+    assert calls == [3, 1]
+    assert not hasattr(batch, "_write_leaf")
+
+
+class _ProbeCounter(dict):
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_obu_probes_ancestors_for_inserts_only():
+    depth = 8
+    tree = populated(depth, {1: b"a", 2: b"b"})
+    tree.cache = _ProbeCounter(tree.cache)
+    ops = [LeafOperation.insert(5, b"x"), LeafOperation.update(1, b"c"),
+           LeafOperation.insert(200, b"y"), LeafOperation.remove(2)]
+    result = batch_update(tree, ops)
+    assert tree.cache.probes == 2 * (depth - 1)
+    assert result.counters.leaf_phase_visits == len(ops) + 2 * (depth - 1)
+    tree.cache.probes = 0
+    batch_update(tree, [LeafOperation.update(5, b"z"), LeafOperation.remove(200)])
+    assert tree.cache.probes == 0
+
+
 # -- wide levels ---------------------------------------------------------------------
 
 
@@ -374,3 +476,63 @@ def test_engines_take_tree_and_ops_only(engine):
     with pytest.raises(TypeError):
         engine(tree, updates([0]), object())
     assert tree.root() == root
+
+
+# -- pinned equivalence ------------------------------------------------------------
+
+# SHA-256 over 600 seeded cases on both engines: roots, every counter but the
+# timings, the sweep's work lists, final caches and leaves, and each
+# rejection's op index, cause class and message. Any change to what the
+# engines compute or reject moves it.
+_EQUIVALENCE_DIGEST = "47d46a7d91ffb4aad0c3e4da0bc19cf40e7c17e9cc539d440e41df31c5736c20"
+
+
+def _spliced_case(rng: random.Random):
+    """A random case, often with one op spliced in that may fail: an
+    out-of-range insert, a duplicate insert, a missing update or remove, or
+    a default (empty) payload."""
+    depth = rng.randrange(2, 13)
+    capacity = 1 << depth
+    initial, ops = random_case(rng, depth)
+    roll = rng.randrange(6)
+    index = rng.randrange(capacity)
+    if roll == 0:
+        bad = LeafOperation.insert(rng.choice([-1 - index, capacity + index]), b"r")
+    elif roll == 1:
+        bad = LeafOperation.insert(rng.choice(sorted(initial) or [index]), b"d")
+    elif roll == 2:
+        bad = LeafOperation.update(index, b"m")
+    elif roll == 3:
+        bad = LeafOperation.remove(index)
+    elif roll == 4:
+        bad = LeafOperation(rng.choice([OpKind.INSERT, OpKind.UPDATE]), index, b"")
+    else:
+        return depth, initial, ops
+    ops.insert(rng.randrange(len(ops) + 1), bad)
+    return depth, initial, ops
+
+
+def test_engines_match_pinned_equivalence_digest():
+    rng = random.Random(0xE9)
+    digest = hashlib.sha256()
+    for _ in range(600):
+        depth, initial, ops = _spliced_case(rng)
+        for engine in ENGINES:
+            tree = populated(depth, initial)
+            try:
+                result = engine(tree, ops)
+            except BatchPreconditionError as err:
+                outcome = (err.op_index, type(err.cause).__name__, str(err.cause))
+            else:
+                c = result.counters
+                outcome = (
+                    result.new_root,
+                    c.node_visits,
+                    c.hash_invocations,
+                    c.leaf_phase_visits,
+                    c.levels_processed,
+                    result.level_work_lists,
+                )
+            state = (sorted(tree.cache.items()), sorted(tree.leaf_values.items()))
+            digest.update(repr((engine.__name__, outcome, state)).encode())
+    assert digest.hexdigest() == _EQUIVALENCE_DIGEST

@@ -535,3 +535,10 @@ def test_leaf_operation_validates_direct_construction():
             LeafOperation(kind, 1)
     with pytest.raises(ValueError):
         LeafOperation.update(1, None)
+    for index in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match="index must be an int"):
+            LeafOperation(OpKind.REMOVE, index)
+    for value in ("x", bytearray(b"x"), memoryview(b"x"), 1):
+        for kind in (OpKind.INSERT, OpKind.UPDATE):
+            with pytest.raises(TypeError, match=f"{kind.value} value must be bytes"):
+                LeafOperation(kind, 1, value)
