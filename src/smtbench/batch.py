@@ -67,17 +67,17 @@ class BatchResult:
 
 
 def _write_leaves(tree: SparseMerkleTree, ops: list[LeafOperation]) -> dict[int, bytes | None]:
-    """Check each op's preconditions and write or delete its leaf digest, in
-    order; ancestors stay stale for the engine's hash phase. Returns the dirty
-    leaf slots: heap index -> new leaf digest, or None where the slot's last op
-    removed it. On the first failing op, which has mutated nothing, every
-    earlier write is undone, restoring the old digests as they were, and
-    BatchPreconditionError is raised."""
-    values, cache, leaf_base = tree.leaf_values, tree.cache, tree.capacity
-    default_payload, leaf_hash = tree.scheme.default_payload, tree.scheme.hasher.leaf
-    insert = OpKind.INSERT
-    # Undo records: (index, old_value, old_digest), both None when the leaf was absent.
-    journal: list[tuple[int, bytes | None, bytes | None]] = []
+    """Check each op's preconditions and write or delete its leaf value, in
+    order; then, once every op has passed, hash each dirty slot's final value
+    once into the cache. Ancestors stay stale for the engine's hash phase.
+    Returns the dirty leaf slots: heap index -> new leaf digest, or None where
+    the slot's last op removed it. On the first failing op, which has mutated
+    nothing, every earlier value write is undone and BatchPreconditionError is
+    raised; the cache was never touched."""
+    values, leaf_base = tree.leaf_values, tree.capacity
+    default_payload, insert = tree.scheme.default_payload, OpKind.INSERT
+    # Undo records: (index, old_value), None when the leaf was absent.
+    journal: list[tuple[int, bytes | None]] = []
     written: dict[int, bytes | None] = {}
     try:
         for op in ops:
@@ -91,31 +91,32 @@ def _write_leaves(tree: SparseMerkleTree, ops: list[LeafOperation]) -> dict[int,
                 raise MissingLeafError(f"leaf {index} not present")
             if value == default_payload:  # a remove's value is None
                 raise DefaultPayloadError(f"leaf {index} would hold the default payload")
-            heap = leaf_base + index
-            journal.append((index, old_value, cache.get(heap)))
+            journal.append((index, old_value))
             if value is None:
                 del values[index]
-                del cache[heap]
-                written[heap] = None
             else:
                 values[index] = value
-                cache[heap] = written[heap] = leaf_hash(value)
+            written[leaf_base + index] = value
     except SmtError as exc:
-        for index, value, digest in reversed(journal):
-            heap = leaf_base + index
+        for index, value in reversed(journal):
             if value is None:
                 del values[index]
-                del cache[heap]
             else:
                 values[index] = value
-                cache[heap] = digest
         raise BatchPreconditionError(len(journal), exc) from exc
+    cache, leaf_hash = tree.cache, tree.scheme.hasher.leaf
+    for heap, value in written.items():  # rewrites values in place, never keys
+        if value is None:
+            cache.pop(heap, None)
+        else:
+            cache[heap] = written[heap] = leaf_hash(value)
     return written
 
 
 def _hashed_leaf_count(ops: list[LeafOperation]) -> int:
-    """Distinct leaves hashed: each once, however often it was rewritten,
-    even if a later op removed it."""
+    """Distinct leaves a batch writes a value to: each counts once, however
+    often it was rewritten. A leaf written and then removed in one batch is
+    counted, though `_write_leaves` never hashes it."""
     return len({op.index for op in ops if op.value is not None})
 
 

@@ -64,13 +64,47 @@ class OpKind(Enum):
     REMOVE = "remove"
 
 
-class LeafOperation:
+class FrozenValue:
+    """Base of the library's immutable `__slots__` value classes: equal,
+    hashable, printable and picklable by the values of their slots, in slot
+    order, like a frozen dataclass. A subclass names its fields in
+    `__slots__` and sets them in `__init__` through the slots' own
+    descriptors, which bypass the write guard."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class LeafOperation(FrozenValue):
     """One mutation of one indexed leaf; the atomic unit a transaction
     decomposes into.
 
-    Immutable and equal by value, like a frozen dataclass, but a `__slots__`
-    class: the engines read `kind`, `index` and `value` as plain slots, and an
-    op costs less than half as much to build.
+    A frozen `__slots__` value: the engines read `kind`, `index` and `value`
+    as plain slots, and an op costs less than half as much to build as a
+    frozen dataclass.
     """
 
     __slots__ = ("kind", "index", "value")
@@ -94,26 +128,6 @@ class LeafOperation:
         _set_kind(self, kind)
         _set_index(self, index)
         _set_value(self, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.index, self.value) == (other.kind, other.index, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.index, self.value))
-
-    def __repr__(self) -> str:
-        return f"LeafOperation(kind={self.kind!r}, index={self.index!r}, value={self.value!r})"
-
-    def __reduce__(self):
-        return LeafOperation, (self.kind, self.index, self.value)
 
     @classmethod
     def insert(cls, index: int, value: bytes) -> "LeafOperation":
@@ -239,7 +253,8 @@ def load_snapshot(
     """Rebuild a tree from `export_snapshot` output. Every node index must lie
     in `[1, 2^(depth+1))`, every leaf index in `[0, 2^depth)`, every digest
     must be `scheme.digest_size` bytes, and no leaf may hold the scheme's
-    default payload."""
+    default payload. The loaded tree must then pass `check_consistency`: every
+    digest must be the hash of what lies below it."""
     tree = SparseMerkleTree(depth, scheme)
     capacity, size = 1 << depth, scheme.digest_size
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -270,6 +285,10 @@ def load_snapshot(
                 tree.cache[index] = digest
         except ValueError as exc:
             raise SnapshotFormatError(f"snapshot line {lineno}: {exc}") from exc
+    try:
+        check_consistency(tree)
+    except ConsistencyError as exc:
+        raise SnapshotFormatError(f"snapshot: {exc}") from exc
     return tree
 
 
@@ -346,6 +365,9 @@ def check_consistency(tree: SparseMerkleTree) -> None:
     for node, digest in tree.cache.items():
         if not 1 <= node < top:
             raise ConsistencyError(f"cache key {node} out of heap range")
+        if node > 1 and node >> 1 not in tree.cache:
+            # A non-default child makes its parent non-default too.
+            raise ConsistencyError(f"node {node} cached under pruned parent {node >> 1}")
         level = level_of(node)
         if level < tree.depth:
             # Internal defaults must be pruned.

@@ -24,7 +24,7 @@ from .account_model import (
     decode_account,
     encode_account,
 )
-from .smt_core import LeafOperation, LeafRangeError, OpKind
+from .smt_core import FrozenValue, LeafOperation, LeafRangeError, OpKind
 
 SEED_BALANCE = 10**30  # pre-seeded accounts can fund any synthetic flow
 _PAYLOAD_BYTES = 32
@@ -94,24 +94,49 @@ _NEEDS = {
 }
 
 
-@dataclass(frozen=True)
-class TxRecord:
-    tx_type: TxType
-    from_account: int | None = None
-    to_account: int | None = None
-    token_id: int = 0
-    amount: int = 0
+class TxRecord(FrozenValue):
+    """One trace transaction. A frozen `__slots__` value, checked when it is
+    built: its type's steps in `TX_STEPS` say which account fields it must
+    carry."""
 
-    def __post_init__(self) -> None:
-        needs_from, needs_to = _NEEDS[self.tx_type]
-        if needs_from and self.from_account is None:
-            raise TraceValidationError(f"{self.tx_type.value} requires a from account")
-        if needs_to and self.to_account is None:
-            raise TraceValidationError(f"{self.tx_type.value} requires a to account")
+    __slots__ = ("tx_type", "from_account", "to_account", "token_id", "amount")
+
+    tx_type: TxType
+    from_account: int | None
+    to_account: int | None
+    token_id: int
+    amount: int
+
+    def __init__(
+        self,
+        tx_type: TxType,
+        from_account: int | None = None,
+        to_account: int | None = None,
+        token_id: int = 0,
+        amount: int = 0,
+    ) -> None:
+        needs_from, needs_to = _NEEDS[tx_type]
+        if needs_from and from_account is None:
+            raise TraceValidationError(f"{tx_type.value} requires a from account")
+        if needs_to and to_account is None:
+            raise TraceValidationError(f"{tx_type.value} requires a to account")
+        _set_tx_type(self, tx_type)
+        _set_from(self, from_account)
+        _set_to(self, to_account)
+        _set_token(self, token_id)
+        _set_amount(self, amount)
 
     @property
     def is_priority(self) -> bool:
         return self.tx_type in PRIORITY_TYPES
+
+
+# The slots' own setters, which bypass the write guard.
+_set_tx_type = TxRecord.tx_type.__set__
+_set_from = TxRecord.from_account.__set__
+_set_to = TxRecord.to_account.__set__
+_set_token = TxRecord.token_id.__set__
+_set_amount = TxRecord.amount.__set__
 
 
 @dataclass(frozen=True)
@@ -552,14 +577,6 @@ def write_block_traces(blocks: Iterable[BlockTrace], path: str | Path) -> None:
 _TX_TYPES = {kind.value: kind for kind in TxType}
 
 
-def _parse_account_field(raw: object, field: str) -> int | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
-        raise TraceParseError(f"{field!r} must be a non-negative integer")
-    return raw
-
-
 def _parse_tx(raw: object) -> TxRecord:
     """One transaction; a TraceParseError names no location, the caller
     prefixes it."""
@@ -584,14 +601,14 @@ def _parse_tx(raw: object) -> TxRecord:
     token = raw.get("token", 0)
     if not isinstance(token, int) or isinstance(token, bool) or token < 0:
         raise TraceParseError("'token' must be a non-negative integer")
+    # The class test rejects a bool; JSON yields no other int subclass.
+    sender, receiver = raw.get("from"), raw.get("to")
+    if sender is not None and (sender.__class__ is not int or sender < 0):
+        raise TraceParseError("'from' must be a non-negative integer")
+    if receiver is not None and (receiver.__class__ is not int or receiver < 0):
+        raise TraceParseError("'to' must be a non-negative integer")
     try:
-        return TxRecord(
-            tx_type,
-            _parse_account_field(raw.get("from"), "from"),
-            _parse_account_field(raw.get("to"), "to"),
-            token,
-            amount,
-        )
+        return TxRecord(tx_type, sender, receiver, token, amount)
     except TraceValidationError as exc:
         raise TraceParseError(str(exc)) from exc
 

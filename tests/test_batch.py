@@ -12,6 +12,7 @@ from smtbench.batch import (
     batch_update,
     two_phase_update,
 )
+from smtbench.hasher import BoundHasher, HashScheme
 from smtbench.smt_core import (
     DefaultPayloadError,
     LeafOperation,
@@ -20,7 +21,6 @@ from smtbench.smt_core import (
     check_consistency,
     gen,
     level_of,
-    load_snapshot,
 )
 
 from oracles import ancestor_union, final_leaves, naive_root, random_case
@@ -379,10 +379,12 @@ def test_precondition_error_survives_pickling():
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
 def test_rollback_restores_a_non_canonical_leaf_digest(engine):
-    # The undo record keeps the old digest itself: a rollback that rehashed
-    # the old value would write hash_leaf(b"a"), not these bytes.
+    # The leaf phase touches the cache only after every op has passed its
+    # checks: a rollback that rehashed the old value would write
+    # hash_leaf(b"a"), not these planted bytes.
     odd = bytes(range(32))
-    tree = load_snapshot(f"{(1 << 4) + 1} {odd.hex()}\nL 1 {b'a'.hex()}\n", 4)
+    tree = populated(4, {1: b"a"})
+    tree.cache[(1 << 4) + 1] = odd
     cache, leaves = dict(tree.cache), dict(tree.leaf_values)
     with pytest.raises(BatchPreconditionError) as err:
         engine(tree, [LeafOperation.update(1, b"b"), LeafOperation.remove(2)])
@@ -406,6 +408,34 @@ def test_sweep_first_level_carries_each_slots_last_write():
     assert result.new_root == naive_root(4, {1: b"c"})
     assert tree.cache == populated(4, {1: b"c"}).cache
     assert result.counters.hash_invocations == 2 + len(ancestor_union(4, {1, 5}))
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_leaf_phase_hashes_each_dirty_slot_once(engine):
+    scheme = HashScheme()
+    size, node, leaf = scheme.hasher
+    hashed = []
+
+    def counted_leaf(payload: bytes) -> bytes:
+        hashed.append(payload)
+        return leaf(payload)
+
+    object.__setattr__(scheme, "hasher", BoundHasher(size, node, counted_leaf))
+    tree = gen(6, scheme)
+    engine(tree, [LeafOperation.insert(1, b"a")])
+    hashed.clear()
+    result = engine(tree, [LeafOperation.update(1, b"b"), LeafOperation.update(1, b"c"),
+                           LeafOperation.update(1, b"d")])
+    assert hashed == [b"d"]
+    assert result.counters.hash_invocations == 1 + 6
+    assert result.new_root == naive_root(6, {1: b"d"})
+    hashed.clear()
+    # Counted, as the counters' convention says, but never hashed.
+    result = engine(tree, [LeafOperation.insert(5, b"x"), LeafOperation.remove(5)])
+    assert hashed == []
+    assert result.counters.hash_invocations == 1 + len(ancestor_union(6, {5}))
+    assert result.new_root == naive_root(6, {1: b"d"})
+    check_consistency(tree)
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])

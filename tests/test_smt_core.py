@@ -25,6 +25,7 @@ from smtbench.smt_core import (
     member_verify,
     non_member_verify,
 )
+from smtbench.workload import TxRecord, TxType
 
 from oracles import empty_digests, fold_witness, naive_root
 
@@ -340,10 +341,37 @@ def test_snapshot_rejects_out_of_range_input(text, match):
 
 
 def test_snapshot_accepts_boundary_indices():
-    digest = "00" * 32
-    tree = load_snapshot(f"1 {digest}\n511 {digest}\nL 0 00\nL 255 00\n", 8)
-    assert set(tree.cache) == {1, 511}
+    text = build(8, {0: b"\x00", 255: b"\x00"}).export_snapshot()
+    assert text.startswith("1 ") and "\n511 " in text
+    tree = load_snapshot(text, 8)
+    assert {1, 511} <= set(tree.cache)
     assert set(tree.leaf_values) == {0, 255}
+
+
+def _snapshot_lines(leaves: dict[int, bytes]) -> tuple[list[str], list[str]]:
+    """(node lines, leaf lines) of a depth-4 tree's export."""
+    lines = build(4, leaves).export_snapshot().splitlines()
+    return [x for x in lines if not x.startswith("L ")], [x for x in lines if x.startswith("L ")]
+
+
+def test_snapshot_load_checks_every_digest():
+    nodes, leaves = _snapshot_lines({3: b"abc", 9: b"d"})
+    other_nodes, other_leaves = _snapshot_lines({3: b"xyz", 9: b"d"})
+    bad = {
+        # Every node hashes up from leaf 3's digest, which is not its value's.
+        "leaf 3 digest missing or stale": nodes + other_leaves,
+        # The root line is another tree's.
+        "stale internal node 1": other_nodes[:1] + nodes[1:] + leaves,
+        # A leaf value with no digest line.
+        "leaf 7 digest missing or stale": nodes + leaves + ["L 7 61"],
+        # A leaf digest whose ancestors are all missing.
+        "node 23 cached under pruned parent 11":
+            nodes + [f"23 {hash_leaf(DEFAULT_SCHEME, b'a').hex()}"] + leaves + ["L 7 61"],
+    }
+    for message, lines in bad.items():
+        with pytest.raises(SnapshotFormatError, match=f"^snapshot: {message}$"):
+            load_snapshot("\n".join(lines) + "\n", 4)
+    load_snapshot("\n".join(nodes + leaves) + "\n", 4)
 
 
 def test_clone_is_independent():
@@ -506,25 +534,48 @@ def test_proof_hash_counts():
     assert calls == {"node": 1, "leaf": 0}  # only the root's halves differ
 
 
-def test_leaf_operation_is_a_frozen_value():
+@pytest.mark.parametrize(
+    "make,same,other,as_tuple,text",
+    [
+        (
+            lambda: LeafOperation.insert(3, b"v"),
+            lambda: LeafOperation(OpKind.INSERT, 3, b"v"),
+            lambda: LeafOperation.update(3, b"v"),
+            (OpKind.INSERT, 3, b"v"),
+            "LeafOperation(kind=<OpKind.INSERT: 'insert'>, index=3, value=b'v')",
+        ),
+        (
+            lambda: TxRecord(TxType.TRANSFER, 1, 2, 0, 5),
+            lambda: TxRecord(TxType.TRANSFER, from_account=1, to_account=2, amount=5),
+            lambda: TxRecord(TxType.SWAP, 1, 2, 0, 5),
+            (TxType.TRANSFER, 1, 2, 0, 5),
+            "TxRecord(tx_type=<TxType.TRANSFER: 'Transfer'>, from_account=1, to_account=2,"
+            " token_id=0, amount=5)",
+        ),
+    ],
+    ids=["LeafOperation", "TxRecord"],
+)
+def test_leaf_operation_is_a_frozen_value(make, same, other, as_tuple, text):
     import copy
     import pickle
     from dataclasses import FrozenInstanceError
 
-    op = LeafOperation.insert(3, b"v")
-    assert op == LeafOperation(OpKind.INSERT, 3, b"v")
-    assert op != LeafOperation.update(3, b"v")
-    assert op != (OpKind.INSERT, 3, b"v")
-    assert hash(op) == hash(LeafOperation.insert(3, b"v"))
-    assert len({op, LeafOperation.insert(3, b"v"), LeafOperation.remove(3)}) == 2
-    assert pickle.loads(pickle.dumps(op)) == op
-    assert copy.deepcopy(op) == op
-    assert repr(op) == "LeafOperation(kind=<OpKind.INSERT: 'insert'>, index=3, value=b'v')"
+    value = make()
+    assert value == same()
+    assert value != other()
+    assert value != as_tuple
+    assert hash(value) == hash(same())
+    assert len({value, same(), other()}) == 2
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    assert repr(value) == text
+    field = value.__slots__[1]
     with pytest.raises(FrozenInstanceError):
-        op.index = 4
+        setattr(value, field, 4)
     with pytest.raises(FrozenInstanceError):
-        del op.value
-    assert not hasattr(op, "__dict__")
+        delattr(value, field)
+    assert getattr(value, field) == as_tuple[1]
+    assert not hasattr(value, "__dict__")
 
 
 def test_leaf_operation_validates_direct_construction():

@@ -554,6 +554,7 @@ def test_parse_rejects_malformed(text, match):
         ('{"type": "Deposit", "to": 1, "amount": 1.5}', "blocks[1].txs[0]: 'amount' must be a decimal string"),
         ('{"type": "Deposit", "to": 1, "token": -2}', "blocks[1].txs[0]: 'token' must be a non-negative integer"),
         ('{"type": "Transfer", "from": "a", "to": 2}', "blocks[1].txs[0]: 'from' must be a non-negative integer"),
+        ('{"type": "Transfer", "from": true, "to": 2}', "blocks[1].txs[0]: 'from' must be a non-negative integer"),
         ('{"type": "Transfer", "from": 1}', "blocks[1].txs[0]: Transfer requires a to account"),
     ],
 )
