@@ -6,7 +6,9 @@ by level bottom-up until the root is rewritten. The sweep carries each
 level's fresh digests up with its ascending node list: adjacent siblings 2p
 and 2p+1 hash from the carried digests, a lone dirty child reads only its
 clean sibling from the cache, and each level's parents come out ascending
-and duplicate-free. Each affected path is walked once.
+and duplicate-free. Once one dirty node is left, above the paths' last
+merge, the sweep climbs its path alone, one hash per level, and returns the
+root digest it computed. Each affected path is walked once.
 
 `two_phase_update` is the baseline it is measured against: a full root-to-leaf
 traversal per operation to mutate the leaf, then a recursive top-down rehash
@@ -126,8 +128,10 @@ def _hashed_leaf_count(ops: list[LeafOperation]) -> int:
 def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResult:
     """One-phase engine: a leaf phase charging one visit per update or
     remove and `depth` per insert, then a bottom-up level sweep carrying fresh
-    digests and rehashing exactly the dirty nodes. Aborting ops roll the tree
-    back untouched."""
+    digests and rehashing exactly the dirty nodes. The level loop runs while
+    two or more dirty nodes are left; from the last one the sweep climbs
+    alone to the root, whose digest it returns as `new_root`. Aborting ops
+    roll the tree back untouched."""
     counters = CounterSet()
     if not ops:
         return BatchResult(tree.root(), counters, OBU, [])
@@ -157,9 +161,11 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     digests = [written[node] or defaults[depth] for node in nodes]
     work_lists: list[list[int]] = [nodes]
     rehashed = 0
-    for level in range(depth - 1, -1, -1):
+    level = depth  # the level `nodes` sit on
+    while len(nodes) > 1:
         # Parents of the dirty `nodes` (ascending, distinct), hashed from their
         # fresh `digests`; only a lone child's clean sibling is read from the cache.
+        level -= 1
         child_default, own_default = defaults[level + 1], defaults[level]
         parents: list[int] = []
         fresh: list[bytes] = []
@@ -185,11 +191,23 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
         nodes, digests = parents, fresh
         work_lists.append(nodes)
         rehashed += len(nodes)
+    # Above the last merge one dirty node is left: climb its path alone.
+    node, digest = nodes[0], digests[0]
+    rehashed += level
+    for level in range(level - 1, -1, -1):
+        sibling = get(node ^ 1, defaults[level + 1])
+        digest = node_hash(sibling, digest) if node & 1 else node_hash(digest, sibling)
+        node >>= 1
+        if digest == defaults[level]:
+            cache.pop(node, None)
+        else:
+            cache[node] = digest
+        work_lists.append([node])
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     counters.node_visits = visits + rehashed
     counters.hash_invocations = hashed_leaves + rehashed
     counters.levels_processed = depth
-    return BatchResult(tree.root(), counters, OBU, work_lists)
+    return BatchResult(digest, counters, OBU, work_lists)
 
 
 # -- two-phase baseline --------------------------------------------------------

@@ -21,8 +21,9 @@ from pathlib import Path
 from typing import Callable
 
 from .batch import OBU, TWO_PHASE, BatchResult, batch_update, two_phase_update
-from .smt_core import LeafOperation, SparseMerkleTree, gen
+from .smt_core import MAX_DEPTH, LeafOperation, SparseMerkleTree, gen
 from .workload import (
+    DISPERSED_TXS_PER_BLOCK,
     BlockTrace,
     build_preseed_book,
     filter_transfer_swap,
@@ -57,6 +58,11 @@ ENGINES: dict[str, Callable[..., BatchResult]] = {
 }
 FIXTURE_KINDS = ("synthetic100", "hot", "dispersed")
 DEFAULT_FIXTURE_SEED = 1318
+# Size bounds, checked before anything is allocated, so that no CLI value can
+# make memory grow without bound.
+MAX_BATCH_OPS = 1 << 20  # ops in one micro batch (each k of a sweep)
+MAX_RUNS = 1_000  # timed runs per engine and point
+MAX_FIXTURE_TXS = 10**6  # transactions in one generated fixture
 REPO_ROOT = Path(__file__).resolve().parents[2]  # the checkout, when run from src/
 
 
@@ -87,10 +93,16 @@ class BenchConfig:
     filter_mode: str = "all"  # all | transfer-swap
 
     def validate(self) -> None:
-        if self.runs < 1:
-            raise BenchConfigError(f"runs must be >= 1, got {self.runs}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise BenchConfigError(f"depth must be in [1, MAX_DEPTH={MAX_DEPTH}], got {self.depth}")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise BenchConfigError(f"runs must be in [1, MAX_RUNS={MAX_RUNS}], got {self.runs}")
         if any(k < 0 for k in self.k_sweep):
             raise BenchConfigError("k values must be non-negative")
+        if max(self.k_sweep, default=0) > MAX_BATCH_OPS:
+            raise BenchConfigError(
+                f"k {max(self.k_sweep)} exceeds MAX_BATCH_OPS={MAX_BATCH_OPS}"
+            )
         if self.filter_mode not in ("all", "transfer-swap"):
             raise BenchConfigError(f"unknown filter mode {self.filter_mode!r}")
         if self.micro_workload is not None and self.micro_workload not in MICRO_WORKLOADS:
@@ -395,14 +407,26 @@ def gen_fixture(
     k: int = 48,
     blocks: int | None = None,
 ) -> list[BlockTrace]:
-    """Write a deterministic trace fixture; same arguments, same bytes."""
+    """Write a deterministic trace fixture; same arguments, same bytes. `k`
+    and `blocks` (default 10) size the hot and dispersed kinds, and are checked
+    against MAX_FIXTURE_TXS before anything is generated."""
+    if kind not in FIXTURE_KINDS:
+        raise BenchConfigError(f"unknown fixture kind {kind!r}")
     if kind == "synthetic100":
         trace = gen_synthetic_blocks(seed=seed)
-    elif kind == "hot":
-        trace = gen_hot_blocks(blocks=blocks or 10, k=k)
-    elif kind == "dispersed":
-        trace = gen_dispersed_blocks(blocks=blocks or 10)
     else:
-        raise BenchConfigError(f"unknown fixture kind {kind!r}")
+        blocks = 10 if blocks is None else blocks
+        per_block = k if kind == "hot" else DISPERSED_TXS_PER_BLOCK
+        if blocks < 1 or per_block < 1:
+            raise BenchConfigError(f"blocks and k must be >= 1, got blocks={blocks}, k={k}")
+        if blocks * per_block > MAX_FIXTURE_TXS:
+            raise BenchConfigError(
+                f"{blocks} blocks of {per_block} transactions exceed "
+                f"MAX_FIXTURE_TXS={MAX_FIXTURE_TXS}"
+            )
+        if kind == "hot":
+            trace = gen_hot_blocks(blocks=blocks, k=k)
+        else:
+            trace = gen_dispersed_blocks(blocks=blocks)
     write_block_traces(trace, out_path)
     return trace

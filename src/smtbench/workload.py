@@ -97,7 +97,7 @@ _NEEDS = {
 class TxRecord(FrozenValue):
     """One trace transaction. A frozen `__slots__` value, checked when it is
     built: its type's steps in `TX_STEPS` say which account fields it must
-    carry."""
+    carry, and its amount may not be negative, which would run it backwards."""
 
     __slots__ = ("tx_type", "from_account", "to_account", "token_id", "amount")
 
@@ -120,6 +120,8 @@ class TxRecord(FrozenValue):
             raise TraceValidationError(f"{tx_type.value} requires a from account")
         if needs_to and to_account is None:
             raise TraceValidationError(f"{tx_type.value} requires a to account")
+        if amount < 0:
+            raise TraceValidationError(f"amount must be non-negative, got {amount}")
         _set_tx_type(self, tx_type)
         _set_from(self, from_account)
         _set_to(self, to_account)
@@ -425,8 +427,11 @@ def gen_hot_blocks(blocks: int = 10, k: int = 48, hot_index: int = 0) -> list[Bl
     return out
 
 
+DISPERSED_TXS_PER_BLOCK = 83
+
+
 def gen_dispersed_blocks(
-    blocks: int = 10, txs_per_block: int = 83, start: int = 0
+    blocks: int = 10, txs_per_block: int = DISPERSED_TXS_PER_BLOCK, start: int = 0
 ) -> list[BlockTrace]:
     """Dispersed fixture: every transfer touches a brand-new pair of accounts,
     so batches share as few ancestors as possible."""
@@ -588,20 +593,26 @@ def _parse_tx(raw: object) -> TxRecord:
         tx_type = _TX_TYPES[raw["type"]]
     except (KeyError, TypeError):  # TypeError: an unhashable value
         raise TraceParseError(f"unknown tx_type {raw['type']!r}") from None
+    # The class tests reject a bool; JSON yields no other str or int subclass.
     amount_raw = raw.get("amount", "0")
-    if isinstance(amount_raw, str):
+    if amount_raw.__class__ is str:
+        # Only what the serializer writes: ASCII digits, no sign, space,
+        # underscore or leading zero.
         try:
-            amount = int(amount_raw, 10)
+            if not (amount_raw.isascii() and amount_raw.isdigit()) or (
+                amount_raw[0] == "0" and amount_raw != "0"
+            ):
+                raise ValueError
+            amount = int(amount_raw)  # ValueError past int()'s digit limit
         except ValueError:
-            raise TraceParseError("'amount' is not a decimal string") from None
-    elif isinstance(amount_raw, int) and not isinstance(amount_raw, bool):
+            raise TraceParseError("'amount' is not a canonical decimal string") from None
+    elif amount_raw.__class__ is int:
         amount = amount_raw
     else:
         raise TraceParseError("'amount' must be a decimal string")
     token = raw.get("token", 0)
-    if not isinstance(token, int) or isinstance(token, bool) or token < 0:
+    if token.__class__ is not int or token < 0:
         raise TraceParseError("'token' must be a non-negative integer")
-    # The class test rejects a bool; JSON yields no other int subclass.
     sender, receiver = raw.get("from"), raw.get("to")
     if sender is not None and (sender.__class__ is not int or sender < 0):
         raise TraceParseError("'from' must be a non-negative integer")

@@ -209,6 +209,57 @@ def test_wide_mixed_batch_final_cache_matches_two_phase():
     check_consistency(obu_tree)
 
 
+# -- single-path climb --------------------------------------------------------------
+# Once one dirty node is left, the sweep climbs its path alone to the root.
+
+
+def climb_against_two_phase(tree, ops):
+    """Run both engines on copies of `tree`; they must agree and the
+    one-phase tree must be consistent. Returns the one-phase result."""
+    other = tree.clone()
+    result = batch_update(tree, ops)
+    assert result.new_root == two_phase_update(other, ops).new_root == tree.root()
+    assert tree.cache == other.cache
+    check_consistency(tree)
+    return result
+
+
+def test_single_update_climbs_alone_from_the_leaf():
+    # Two far-apart leaves whose paths part at the root; the updated leaf's
+    # path mixes left and right children, and its top sibling is not empty.
+    depth, low, high = 24, 0x5A5A5A, 0xA5A5A5
+    tree = populated(depth, {low: b"low", high: b"high"})
+    result = climb_against_two_phase(tree, [LeafOperation.update(low, b"new")])
+    leaf = (1 << depth) + low
+    assert result.level_work_lists == [[leaf >> shift] for shift in range(depth + 1)]
+    assert result.counters.node_visits == result.counters.hash_invocations == depth + 1
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_removing_the_only_leaf_prunes_every_ancestor(engine):
+    depth = 24
+    tree = populated(depth, {0x5A5A5A: b"only"})
+    result = engine(tree, [LeafOperation.remove(0x5A5A5A)])
+    assert tree.cache == {}
+    assert result.new_root == tree.root() == gen(depth).root()
+
+
+@pytest.mark.parametrize("merge_level", [0, 1, 5, 9])
+def test_two_paths_sweep_together_then_climb_from_their_merge(merge_level):
+    depth, first = 10, 0b0110010110
+    second = first ^ (1 << (depth - 1 - merge_level))  # paths part below merge_level
+    leaves = {i: bytes([i % 256]) for i in range(0, 1 << depth, 7)} | {first: b"a", second: b"b"}
+    tree = populated(depth, leaves)
+    result = climb_against_two_phase(tree, updates([first, second], tag=b"z"))
+    heaps = sorted(((1 << depth) + first, (1 << depth) + second))
+    assert result.level_work_lists == [
+        sorted({heap >> shift for heap in heaps}) for shift in range(depth + 1)
+    ]
+    assert [len(work) for work in result.level_work_lists] == (
+        [2] * (depth - merge_level) + [1] * (merge_level + 1)
+    )
+
+
 # -- batch composition ----------------------------------------------------------------
 
 

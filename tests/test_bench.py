@@ -10,6 +10,9 @@ from smtbench.bench import (
     AGGREGATE_COLUMNS,
     RUN_COLUMNS,
     SCHEMA_VERSION,
+    MAX_BATCH_OPS,
+    MAX_FIXTURE_TXS,
+    MAX_RUNS,
     BenchConfig,
     BenchConfigError,
     UndefinedMetricError,
@@ -20,7 +23,7 @@ from smtbench.bench import (
     run_micro,
     stats_path,
 )
-from smtbench.smt_core import SparseMerkleTree
+from smtbench.smt_core import MAX_DEPTH, SparseMerkleTree
 
 
 def read_csv(path):
@@ -62,6 +65,19 @@ def test_config_rejects_bad_values():
         run_micro(BenchConfig())  # no workload chosen
     with pytest.raises(BenchConfigError):
         run_macro(BenchConfig())  # no trace path
+    # Size bounds, by validation alone: a config at a bound passes, one past
+    # it names the bound.
+    BenchConfig(micro_workload="rand-update", depth=MAX_DEPTH,
+                k_sweep=(0, MAX_BATCH_OPS), runs=MAX_RUNS).validate()
+    for config, bound in [
+        (BenchConfig(micro_workload="rand-update", k_sweep=(10**9,), runs=10**7), "MAX_RUNS=1000"),
+        (BenchConfig(k_sweep=(10, MAX_BATCH_OPS + 1)), f"k {MAX_BATCH_OPS + 1} exceeds MAX_BATCH_OPS"),
+        (BenchConfig(runs=MAX_RUNS + 1), "MAX_RUNS"),
+        (BenchConfig(depth=MAX_DEPTH + 1), "MAX_DEPTH"),
+        (BenchConfig(depth=0), "MAX_DEPTH"),
+    ]:
+        with pytest.raises(BenchConfigError, match=bound):
+            config.validate()
 
 
 # -- micro runner ------------------------------------------------------------------
@@ -284,3 +300,20 @@ def test_gen_fixture_is_byte_deterministic(tmp_path):
 def test_gen_fixture_rejects_unknown_kind(tmp_path):
     with pytest.raises(BenchConfigError):
         gen_fixture("flood", tmp_path / "x.json")
+
+
+@pytest.mark.parametrize(
+    "kind,k,blocks,match",
+    [
+        ("hot", 48, 0, "blocks and k must be >= 1, got blocks=0"),
+        ("hot", 0, 3, "blocks and k must be >= 1, got blocks=3, k=0"),
+        ("dispersed", 48, -1, "blocks and k must be >= 1"),
+        ("hot", 1_000, 1_001, "1001 blocks of 1000 transactions exceed MAX_FIXTURE_TXS=1000000"),
+        ("dispersed", 48, MAX_FIXTURE_TXS // 83 + 1, "exceed MAX_FIXTURE_TXS"),
+    ],
+)
+def test_gen_fixture_checks_its_size_before_generating(tmp_path, kind, k, blocks, match):
+    out = tmp_path / "x.json"
+    with pytest.raises(BenchConfigError, match=match):
+        gen_fixture(kind, out, k=k, blocks=blocks)
+    assert not out.exists()

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from smtbench import bench
 from smtbench.bench import AGGREGATE_COLUMNS, RUN_COLUMNS
 from smtbench.cli import main
 
@@ -80,6 +81,28 @@ def test_bad_k_sweep_exits_one(tmp_path):
         "micro", "--workload", "seq-update", "--k-sweep", "ten",
         "--out", str(tmp_path / "x.csv"),
     ]) == 1
+
+
+@pytest.mark.parametrize(
+    "args,bound",
+    [
+        (["micro", "--workload", "rand-update", "--k-sweep", "1000000000"], "MAX_BATCH_OPS"),
+        (["micro", "--workload", "rand-update", "--runs", "10000000"], "MAX_RUNS"),
+        (["micro", "--workload", "seq-update", "--depth", "1000000000000"], "MAX_DEPTH"),
+        (["gen-fixture", "--kind", "hot", "--k", "1000000", "--blocks", "1000000"], "MAX_FIXTURE_TXS"),
+        (["gen-fixture", "--kind", "dispersed", "--blocks", "0"], "blocks and k must be >= 1"),
+    ],
+)
+def test_oversized_values_exit_one_before_allocating(tmp_path, capsys, monkeypatch, args, bound):
+    def allocates(*args, **kwargs):
+        raise AssertionError("built a workload past a size bound")
+
+    for generator in ("_micro_ops", "gen_hot_blocks", "gen_dispersed_blocks"):
+        monkeypatch.setattr(bench, generator, allocates)
+    out = tmp_path / "x.out"
+    assert main([*args, "--out", str(out)]) == 1
+    assert bound in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_option_is_rejected(tmp_path, capsys):

@@ -169,6 +169,18 @@ def test_role_checks_follow_the_step_table(tx_type):
             TxRecord(tx_type, **fields)
 
 
+def test_tx_record_rejects_a_negative_amount():
+    with pytest.raises(TraceValidationError, match=r"^amount must be non-negative, got -5$"):
+        TxRecord(TxType.TRANSFER, 1, 2, 0, -5)
+    assert TxRecord(TxType.TRANSFER, 1, 2, 0, 0).amount == 0
+
+
+def test_parse_accepts_the_amounts_the_serializer_writes():
+    txs = [TxRecord(TxType.DEPOSIT, None, 1, 0, amount) for amount in (0, 7, 10, 2**128)]
+    text = serialize_block_traces([BlockTrace(1, tuple(txs))])
+    assert parse_block_trace_text(text)[0].txs == tuple(txs)
+
+
 def test_replay_error_names_block_tx_and_type():
     blocks = [
         BlockTrace(4, (TxRecord(TxType.DEPOSIT, None, 1, 0, 5),)),
@@ -186,12 +198,13 @@ def test_replay_error_names_block_tx_and_type():
 
 
 def test_failed_tx_leaves_the_book_untouched():
-    # The swap's first step succeeds and is recorded; its second raises. Later
-    # applies, hand-built and decomposed, match the decode-only reference.
+    # The swap's first step succeeds and is recorded; its second, on an absent
+    # account, raises. Later applies, hand-built and decomposed, match the
+    # decode-only reference.
     book, reference = funded_book(1, 2), funded_book(1, 2)
     before = dict(book.accounts)
-    with pytest.raises(InsufficientBalanceError):
-        tx_to_leaf_ops(TxRecord(TxType.SWAP, 1, 2, 0, -10**10), book)
+    with pytest.raises(TraceValidationError, match="references absent account 9"):
+        tx_to_leaf_ops(TxRecord(TxType.SWAP, 1, 9, 0, 10), book)
     assert book.accounts == before
     hand = Account(1, 3, default_pubkey(1), {0: 10**9})
     for apply, target in ((apply_leaf_ops, book), (decode_apply, reference)):
@@ -552,7 +565,16 @@ def test_parse_rejects_malformed(text, match):
         ('{"to": 3}', "blocks[1].txs[0]: missing 'type'"),
         ('7', "blocks[1].txs[0]: transaction must be an object"),
         ('{"type": "Deposit", "to": 1, "amount": 1.5}', "blocks[1].txs[0]: 'amount' must be a decimal string"),
+        ('{"type": "Transfer", "from": 1, "to": 2, "token": 0, "amount": -5}',
+         "blocks[1].txs[0]: amount must be non-negative, got -5"),
+        *(
+            (f'{{"type": "Transfer", "from": 1, "to": 2, "amount": "{amount}"}}',
+             "blocks[1].txs[0]: 'amount' is not a canonical decimal string")
+            for amount in ("-5", "+3", " 7 ", "5_000", "007", "00", "", "\\u0663")
+        ),
         ('{"type": "Deposit", "to": 1, "token": -2}', "blocks[1].txs[0]: 'token' must be a non-negative integer"),
+        ('{"type": "Deposit", "to": 1, "token": true}', "blocks[1].txs[0]: 'token' must be a non-negative integer"),
+        ('{"type": "Deposit", "to": 1, "amount": false}', "blocks[1].txs[0]: 'amount' must be a decimal string"),
         ('{"type": "Transfer", "from": "a", "to": 2}', "blocks[1].txs[0]: 'from' must be a non-negative integer"),
         ('{"type": "Transfer", "from": true, "to": 2}', "blocks[1].txs[0]: 'from' must be a non-negative integer"),
         ('{"type": "Transfer", "from": 1}', "blocks[1].txs[0]: Transfer requires a to account"),
