@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 from .counters import CounterSet
 from .smt_core import (
+    OP_INSERT,
     DefaultPayloadError,
     DuplicateLeafError,
     LeafOperation,
     MissingLeafError,
-    OpKind,
     SmtError,
     SparseMerkleTree,
     level_of,
@@ -76,8 +76,7 @@ def _write_leaves(tree: SparseMerkleTree, ops: list[LeafOperation]) -> dict[int,
     the slot's last op removed it. On the first failing op, which has mutated
     nothing, every earlier value write is undone and BatchPreconditionError is
     raised; the cache was never touched."""
-    values, leaf_base = tree.leaf_values, tree.capacity
-    default_payload, insert = tree.scheme.default_payload, OpKind.INSERT
+    values, leaf_base, default = tree.leaf_values, tree.capacity, tree.scheme.default_payload
     # Undo records: (index, old_value), None when the leaf was absent.
     journal: list[tuple[int, bytes | None]] = []
     written: dict[int, bytes | None] = {}
@@ -85,13 +84,13 @@ def _write_leaves(tree: SparseMerkleTree, ops: list[LeafOperation]) -> dict[int,
         for op in ops:
             index, value = op.index, op.value
             old_value = values.get(index)
-            if op.kind is insert:
+            if op.kind is OP_INSERT:
                 tree.check_range(index)
                 if old_value is not None:
                     raise DuplicateLeafError(f"leaf {index} already present")
             elif old_value is None:
                 raise MissingLeafError(f"leaf {index} not present")
-            if value == default_payload:  # a remove's value is None
+            if value == default:  # a remove's value is None
                 raise DefaultPayloadError(f"leaf {index} would hold the default payload")
             journal.append((index, old_value))
             if value is None:
@@ -138,10 +137,10 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
 
     started = time.perf_counter_ns()
     written = _write_leaves(tree, ops)
-    cache, depth, leaf_base, insert = tree.cache, tree.depth, tree.capacity, OpKind.INSERT
+    cache, depth, leaf_base = tree.cache, tree.depth, tree.capacity
     inserts = 0
     for op in ops:
-        if op.kind is insert:
+        if op.kind is OP_INSERT:
             inserts += 1
             parent = (leaf_base + op.index) >> 1
             while parent > 1:  # read-only probes: an insert stays O(log n) lookups

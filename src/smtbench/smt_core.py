@@ -20,6 +20,10 @@ from .hasher import DEFAULT_SCHEME, MAX_HEIGHT, HashScheme, default_digests, has
 
 MAX_DEPTH = MAX_HEIGHT  # heap indices stay within 64-bit unsigned range
 
+# A snapshot's first line; one `L <index> <hex>` line per leaf follows it.
+SNAPSHOT_HEADER = "smt-snapshot 1 depth={} scheme={} leaf_tag={} node_tag={} default={} root={}"
+_HEADER_NAMES = [field.partition("=")[0] for field in SNAPSHOT_HEADER.split(" ")]
+
 
 class SmtError(Exception):
     """Base class for tree usage errors."""
@@ -62,6 +66,10 @@ class OpKind(Enum):
     INSERT = "insert"
     UPDATE = "update"
     REMOVE = "remove"
+
+
+# Bound once: a module global reads ~10x faster than a member through its class.
+OP_INSERT, OP_UPDATE, OP_REMOVE = OpKind.INSERT, OpKind.UPDATE, OpKind.REMOVE
 
 
 class FrozenValue:
@@ -118,7 +126,7 @@ class LeafOperation(FrozenValue):
         # the reach of its rollback.
         if not isinstance(index, int) or isinstance(index, bool):
             raise TypeError(f"index must be an int, got {type(index).__name__}")
-        if kind is OpKind.REMOVE:
+        if kind is OP_REMOVE:
             if value is not None:
                 raise ValueError("remove carries no value")
         elif value is None:
@@ -131,15 +139,15 @@ class LeafOperation(FrozenValue):
 
     @classmethod
     def insert(cls, index: int, value: bytes) -> "LeafOperation":
-        return cls(OpKind.INSERT, index, value)
+        return cls(OP_INSERT, index, value)
 
     @classmethod
     def update(cls, index: int, value: bytes) -> "LeafOperation":
-        return cls(OpKind.UPDATE, index, value)
+        return cls(OP_UPDATE, index, value)
 
     @classmethod
     def remove(cls, index: int) -> "LeafOperation":
-        return cls(OpKind.REMOVE, index)
+        return cls(OP_REMOVE, index)
 
 
 # The slots' own setters, which bypass the write guard.
@@ -236,10 +244,12 @@ class SparseMerkleTree:
         return other
 
     def export_snapshot(self) -> str:
-        """Line-oriented fixture dump: cached nodes then leaf values, sorted."""
-        lines = [f"{i} {d.hex()}" for i, d in sorted(self.cache.items())]
-        lines += [f"L {k} {v.hex()}" for k, v in sorted(self.leaf_values.items())]
-        return "".join(line + "\n" for line in lines)
+        """`SNAPSHOT_HEADER`, then the leaves by ascending index: the cache follows from them."""
+        s = self.scheme
+        tags = [b.hex() for b in (s.leaf_domain_tag, s.node_domain_tag, s.default_payload)]
+        leaves = [f"L {k} {v.hex()}\n" for k, v in sorted(self.leaf_values.items())]
+        header = SNAPSHOT_HEADER.format(self.depth, s.scheme_id, *tags, self.root().hex())
+        return header + "\n" + "".join(leaves)
 
 
 def gen(depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> SparseMerkleTree:
@@ -247,48 +257,38 @@ def gen(depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> SparseMerkleTree:
     return SparseMerkleTree(depth, scheme)
 
 
-def load_snapshot(
-    text: str, depth: int, scheme: HashScheme = DEFAULT_SCHEME
-) -> SparseMerkleTree:
-    """Rebuild a tree from `export_snapshot` output. Every node index must lie
-    in `[1, 2^(depth+1))`, every leaf index in `[0, 2^depth)`, every digest
-    must be `scheme.digest_size` bytes, and no leaf may hold the scheme's
-    default payload. The loaded tree must then pass `check_consistency`: every
-    digest must be the hash of what lies below it."""
-    tree = SparseMerkleTree(depth, scheme)
-    capacity, size = 1 << depth, scheme.digest_size
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line:
-            continue
-        parts = line.split(" ")
-        try:
-            if parts[0] == "L":
-                if len(parts) == 2:  # empty leaf value hex
-                    parts.append("")
-                if len(parts) != 3:
-                    raise ValueError("expected 'L <index> <hex>'")
-                index, value = int(parts[1]), bytes.fromhex(parts[2])
-                if not 0 <= index < capacity:
-                    raise ValueError(f"leaf index {index} outside [0, 2^{depth})")
-                if value == scheme.default_payload:
-                    raise ValueError(f"leaf {index} holds the default payload")
-                tree.leaf_values[index] = value
-            else:
-                if len(parts) != 2:
-                    raise ValueError("expected '<index> <hex>'")
-                index, digest = int(parts[0]), bytes.fromhex(parts[1])
-                if not 1 <= index < 2 * capacity:
-                    raise ValueError(f"node index {index} outside [1, 2^{depth + 1})")
-                if len(digest) != size:
-                    raise ValueError(f"digest is {len(digest)} bytes, expected {size}")
-                tree.cache[index] = digest
-        except ValueError as exc:
-            raise SnapshotFormatError(f"snapshot line {lineno}: {exc}") from exc
+def load_snapshot(text: str) -> SparseMerkleTree:
+    """Rebuild a tree from `export_snapshot` output. The header gives an empty
+    tree; one `batch_update` inserts every leaf, its rules checking each line,
+    and must reach the header's root. Each rejection names its line."""
+    from .batch import BatchPreconditionError, batch_update
+
+    header, *lines = text.splitlines() or [""]
+    fields, lineno, ops = header.split(" "), 1, []
     try:
-        check_consistency(tree)
-    except ConsistencyError as exc:
-        raise SnapshotFormatError(f"snapshot: {exc}") from exc
+        if fields[0] != _HEADER_NAMES[0]:
+            raise ValueError(f"missing header, expected {SNAPSHOT_HEADER!r}")
+        if fields[1:2] != _HEADER_NAMES[1:2]:
+            raise ValueError(f"unknown snapshot version {' '.join(fields[1:2])!r}")
+        if [field.partition("=")[0] for field in fields] != _HEADER_NAMES:
+            raise ValueError(f"header fields differ from {SNAPSHOT_HEADER!r}")
+        depth, scheme_id, *hexes = [field.partition("=")[2] for field in fields[2:]]
+        leaf_tag, node_tag, default, root = map(bytes.fromhex, hexes)
+        tree = SparseMerkleTree(int(depth), HashScheme(scheme_id, leaf_tag, node_tag, default))
+        if len(root) != tree.scheme.digest_size:
+            raise ValueError(f"root is {len(root)} bytes, expected {tree.scheme.digest_size}")
+        for lineno, line in enumerate(lines, start=2):
+            parts = line.split(" ")
+            if len(parts) != 3 or parts[0] != "L":
+                raise ValueError("expected 'L <index> <hex>'")
+            ops.append(LeafOperation.insert(int(parts[1]), bytes.fromhex(parts[2])))
+        rebuilt = batch_update(tree, ops).new_root
+    except BatchPreconditionError as exc:
+        raise SnapshotFormatError(f"snapshot line {exc.op_index + 2}: {exc.cause}") from exc
+    except (ValueError, ConfigError) as exc:
+        raise SnapshotFormatError(f"snapshot line {lineno}: {exc}") from exc
+    if rebuilt != root:
+        raise SnapshotFormatError(f"snapshot line 1: the leaves hash to {rebuilt.hex()}, not root")
     return tree
 
 

@@ -24,7 +24,7 @@ from .account_model import (
     decode_account,
     encode_account,
 )
-from .smt_core import FrozenValue, LeafOperation, LeafRangeError, OpKind
+from .smt_core import OP_REMOVE, FrozenValue, LeafOperation, LeafRangeError
 
 SEED_BALANCE = 10**30  # pre-seeded accounts can fund any synthetic flow
 _PAYLOAD_BYTES = 32
@@ -249,7 +249,7 @@ def apply_leaf_ops(book: AccountBook, ops: Iterable[LeafOperation]) -> None:
     for op in ops:
         index = op.index
         recorded = encoded.pop(index, None)
-        if op.kind is OpKind.REMOVE:
+        if op.kind is OP_REMOVE:
             del accounts[index]
         elif recorded is not None and recorded[0] is op.value:
             accounts[index] = recorded[1]
@@ -627,8 +627,9 @@ def _parse_tx(raw: object) -> TxRecord:
 def parse_block_trace_text(text: str) -> list[BlockTrace]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(f"line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # bad JSON, or an int literal past the digit limit
+        bad_json = isinstance(exc, json.JSONDecodeError)
+        raise TraceParseError(f"line {exc.lineno}: {exc.msg}" if bad_json else str(exc)) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
         raise TraceParseError("top level must be an object with a 'blocks' list")
     blocks = []

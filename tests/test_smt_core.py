@@ -295,11 +295,13 @@ def test_present_leaf_may_not_hold_the_default_payload():
 
 # -- snapshots ---------------------------------------------------------------------
 
+CUSTOM_SCHEME = HashScheme(leaf_domain_tag=b"\x07", node_domain_tag=b"\x09", default_payload=b"zz")
+HEADER_8 = gen(8).export_snapshot()  # an empty depth-8 tree's header line
+
 
 def test_snapshot_round_trip():
     tree = build(4, {0: b"\x00", 3: b"abc", 15: b"\xff\x00"})
-    text = tree.export_snapshot()
-    loaded = load_snapshot(text, 4)
+    loaded = load_snapshot(tree.export_snapshot())
     assert loaded.cache == tree.cache
     assert loaded.leaf_values == tree.leaf_values
     assert loaded.root() == tree.root()
@@ -307,71 +309,92 @@ def test_snapshot_round_trip():
 
 
 def test_snapshot_format_shape():
-    tree = build(2, {0: b"a", 1: b"b", 3: b"c"})
-    lines = tree.export_snapshot().splitlines()
-    node_lines = [line for line in lines if not line.startswith("L ")]
-    leaf_lines = [line for line in lines if line.startswith("L ")]
-    assert [int(line.split()[0]) for line in node_lines] == [1, 2, 3, 4, 5, 7]
-    assert leaf_lines == ["L 0 61", "L 1 62", "L 3 63"]
-    assert node_lines[0].split()[1] == THREE_LEAF_ROOT.hex()
+    lines = build(2, {0: b"a", 1: b"b", 3: b"c"}).export_snapshot().splitlines()
+    assert lines == [
+        "smt-snapshot 1 depth=2 scheme=sha256 leaf_tag=00 node_tag=01 default= "
+        f"root={THREE_LEAF_ROOT.hex()}",
+        "L 0 61",
+        "L 1 62",
+        "L 3 63",
+    ]
+    assert gen(3, CUSTOM_SCHEME).export_snapshot().startswith(
+        "smt-snapshot 1 depth=3 scheme=sha256 leaf_tag=07 node_tag=09 default=7a7a root="
+    )
 
 
-def test_snapshot_rejects_garbage():
-    with pytest.raises(SnapshotFormatError):
-        load_snapshot("1 nothex\n", 4)
-    with pytest.raises(SnapshotFormatError):
-        load_snapshot("L x 61\n", 4)
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(1, 10), custom=st.booleans(), data=st.data())
+def test_snapshot_round_trip_is_exact(depth, custom, data):
+    scheme = CUSTOM_SCHEME if custom else DEFAULT_SCHEME
+    values = st.binary(max_size=4).filter(lambda v: v != scheme.default_payload)
+    leaves = data.draw(st.dictionaries(st.integers(0, (1 << depth) - 1), values, max_size=40))
+    removed = data.draw(st.sets(st.sampled_from(sorted(leaves)))) if leaves else set()
+    tree = gen(depth, scheme)
+    tree.commit(leaves)
+    batch_update(tree, [LeafOperation.remove(index) for index in sorted(removed)])
+    loaded = load_snapshot(tree.export_snapshot())
+    assert (loaded.depth, loaded.scheme, loaded.root()) == (depth, scheme, tree.root())
+    assert loaded.leaf_values == tree.leaf_values
+    assert loaded.cache == tree.cache
+    check_consistency(loaded)
 
 
-@pytest.mark.parametrize(
-    "text,match",
-    [
-        ("1 abcd\n", r"snapshot line 1: digest is 2 bytes, expected 32"),
-        ("1 " + "00" * 32 + "\n999999999 " + "00" * 32 + "\n",
-         r"snapshot line 2: node index 999999999 outside \[1, 2\^9\)"),
-        ("0 " + "00" * 32 + "\n", r"snapshot line 1: node index 0 outside"),
-        ("L 255 00\nL 256 00\n", r"snapshot line 2: leaf index 256 outside \[0, 2\^8\)"),
-        ("L -1 00\n", r"snapshot line 1: leaf index -1 outside"),
-        ("L 3 00\nL 5\n", r"snapshot line 2: leaf 5 holds the default payload"),
-    ],
-)
-def test_snapshot_rejects_out_of_range_input(text, match):
-    with pytest.raises(SnapshotFormatError, match=match):
-        load_snapshot(text, 8)
+SNAPSHOT_REJECTIONS = {  # case: (text, message after "snapshot ")
+    # The old format and other header-less text.
+    "empty": ("", r"line 1: missing header, expected 'smt-snapshot 1 depth=\{\} scheme=\{\} "
+                  r"leaf_tag=\{\} node_tag=\{\} default=\{\} root=\{\}'$"),
+    "old-format": ("1 " + "00" * 32 + "\nL 0 61\n", "line 1: missing header, expected 'smt-snapshot 1 "),
+    "leaf-first": ("L 0 61\n", "line 1: missing header"),
+    # Each header field.
+    "version": (HEADER_8.replace(" 1 ", " 2 "), "line 1: unknown snapshot version '2'$"),
+    "field-missing": (HEADER_8.replace(" default=", " "), "line 1: header fields differ from 'smt-snapshot 1 "),
+    "field-extra": (HEADER_8.replace(" root=", " extra=1 root="), "line 1: header fields differ from"),
+    "depth-0": (HEADER_8.replace("depth=8", "depth=0"), r"line 1: depth must be in \[1, 63\], got 0"),
+    "depth-64": (HEADER_8.replace("depth=8", "depth=64"), r"line 1: depth must be in \[1, 63\], got 64"),
+    "depth-word": (HEADER_8.replace("depth=8", "depth=eight"), "line 1: invalid literal for int.*'eight'"),
+    "scheme": (HEADER_8.replace("scheme=sha256", "scheme=md5"), "line 1: unknown hash scheme 'md5'"),
+    "equal-tags": (HEADER_8.replace("leaf_tag=00", "leaf_tag=01"), "line 1: leaf and node domain tags must differ"),
+    "long-tag": (HEADER_8.replace("node_tag=01", "node_tag=0102"), "line 1: domain tags must be single bytes"),
+    "empty-tag": (HEADER_8.replace("leaf_tag=00", "leaf_tag="), "line 1: domain tags must be single bytes"),
+    "tag-hex": (HEADER_8.replace("node_tag=01", "node_tag=0g"), "line 1: non-hexadecimal"),
+    "default-hex": (HEADER_8.replace("default=", "default=abc"), "line 1: non-hexadecimal"),
+    "root-length": (HEADER_8.replace("root=", "root=00"), "line 1: root is 33 bytes, expected 32"),
+    "root-hex": (HEADER_8.replace("root=", "root=zz"), "line 1: non-hexadecimal"),
+    # Leaf lines, checked by the engine's leaf phase.
+    "range-high": (HEADER_8 + "L 255 00\nL 256 00\n", r"line 3: leaf index 256 outside \[0, 256\) at depth 8"),
+    "range-negative": (HEADER_8 + "L -1 00\n", "line 2: leaf index -1 outside"),
+    "default-payload": (HEADER_8 + "L 3 00\nL 5 \n", "line 3: leaf 5 would hold the default payload"),
+    "duplicate": (HEADER_8 + "L 3 00\nL 4 01\nL 3 02\n", "line 4: leaf 3 already present"),
+    "index-word": (HEADER_8 + "L x 61\n", "line 2: invalid literal for int"),
+    "value-hex": (HEADER_8 + "L 3 6g\n", "line 2: non-hexadecimal"),
+    "no-value": (HEADER_8 + "L 3\n", "line 2: expected 'L <index> <hex>'"),
+    "blank-line": (HEADER_8 + "L 3 61\n\n", "line 3: expected 'L <index> <hex>'"),
+    "node-line": (HEADER_8 + "1 " + "00" * 32 + "\n", "line 2: expected 'L <index> <hex>'"),
+}
+
+
+@pytest.mark.parametrize("case", SNAPSHOT_REJECTIONS)
+def test_snapshot_rejection_names_its_line(case):
+    text, match = SNAPSHOT_REJECTIONS[case]
+    with pytest.raises(SnapshotFormatError, match=f"^snapshot {match}"):
+        load_snapshot(text)
+
+
+def test_snapshot_rejects_a_changed_leaf_on_the_root():
+    text = build(4, {3: b"abc", 9: b"d"}).export_snapshot()
+    assert "\nL 3 616263\n" in text
+    with pytest.raises(SnapshotFormatError, match="^snapshot line 1: the leaves hash to [0-9a-f]{64}, not root$"):
+        load_snapshot(text.replace("\nL 3 616263\n", "\nL 3 616264\n"))
+    with pytest.raises(SnapshotFormatError, match="^snapshot line 1: the leaves hash to "):
+        load_snapshot(text.replace("\nL 9 64\n", "\n"))
 
 
 def test_snapshot_accepts_boundary_indices():
     text = build(8, {0: b"\x00", 255: b"\x00"}).export_snapshot()
-    assert text.startswith("1 ") and "\n511 " in text
-    tree = load_snapshot(text, 8)
-    assert {1, 511} <= set(tree.cache)
+    assert text.endswith("\nL 0 00\nL 255 00\n")
+    tree = load_snapshot(text)
+    assert {1, 256, 511} <= set(tree.cache)
     assert set(tree.leaf_values) == {0, 255}
-
-
-def _snapshot_lines(leaves: dict[int, bytes]) -> tuple[list[str], list[str]]:
-    """(node lines, leaf lines) of a depth-4 tree's export."""
-    lines = build(4, leaves).export_snapshot().splitlines()
-    return [x for x in lines if not x.startswith("L ")], [x for x in lines if x.startswith("L ")]
-
-
-def test_snapshot_load_checks_every_digest():
-    nodes, leaves = _snapshot_lines({3: b"abc", 9: b"d"})
-    other_nodes, other_leaves = _snapshot_lines({3: b"xyz", 9: b"d"})
-    bad = {
-        # Every node hashes up from leaf 3's digest, which is not its value's.
-        "leaf 3 digest missing or stale": nodes + other_leaves,
-        # The root line is another tree's.
-        "stale internal node 1": other_nodes[:1] + nodes[1:] + leaves,
-        # A leaf value with no digest line.
-        "leaf 7 digest missing or stale": nodes + leaves + ["L 7 61"],
-        # A leaf digest whose ancestors are all missing.
-        "node 23 cached under pruned parent 11":
-            nodes + [f"23 {hash_leaf(DEFAULT_SCHEME, b'a').hex()}"] + leaves + ["L 7 61"],
-    }
-    for message, lines in bad.items():
-        with pytest.raises(SnapshotFormatError, match=f"^snapshot: {message}$"):
-            load_snapshot("\n".join(lines) + "\n", 4)
-    load_snapshot("\n".join(nodes + leaves) + "\n", 4)
 
 
 def test_clone_is_independent():

@@ -550,6 +550,9 @@ def test_parse_error_reports_json_line():
         ('{"blocks": [{"block_number": 1, "txs": [{"type": "Deposit", "to": 1, "amount": "12x"}]}]}', "decimal"),
         ('{"blocks": [{"block_number": 1, "txs": [{"type": "Deposit", "to": -1}]}]}', "non-negative"),
         ('{"blocks": [{"block_number": 1, "txs": [{"type": "Withdraw", "to": 1}]}]}', "requires"),
+        pytest.param(  # an int literal past CPython's int-string limit (4,300 digits)
+            '{"blocks": [{"block_number": 1, "txs": [{"type": "Deposit", "to": 1, "amount": '
+            + "9" * 5000 + "}]}]}", "limit", id="int-literal-past-digit-limit"),
     ],
 )
 def test_parse_rejects_malformed(text, match):
