@@ -53,8 +53,7 @@ from .workload import (
     TxRecord,
     TxType,
     apply_leaf_ops,
-    gen_hot_account_trace,
-    gen_sequential_updates,
+    gen_sequential_ops,
     gen_uniform_updates,
     parse_block_trace,
     serialize_block_traces,

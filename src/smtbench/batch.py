@@ -59,7 +59,6 @@ class BatchPreconditionError(SmtError):
 class BatchResult:
     new_root: bytes
     counters: CounterSet
-    engine: str
     # Ascending heap indices rehashed per level, bottom-up; recorded by the
     # one-phase engine so schedules can be asserted and compared.
     level_work_lists: list[list[int]] | None = None
@@ -133,7 +132,7 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     roll the tree back untouched."""
     counters = CounterSet()
     if not ops:
-        return BatchResult(tree.root(), counters, OBU, [])
+        return BatchResult(tree.root(), counters, [])
 
     started = time.perf_counter_ns()
     written = _write_leaves(tree, ops)
@@ -206,7 +205,7 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     counters.node_visits = visits + rehashed
     counters.hash_invocations = hashed_leaves + rehashed
     counters.levels_processed = depth
-    return BatchResult(digest, counters, OBU, work_lists)
+    return BatchResult(digest, counters, work_lists)
 
 
 # -- two-phase baseline --------------------------------------------------------
@@ -218,7 +217,7 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     path stale; phase 2 recursively rehashes stale paths top-down."""
     counters = CounterSet()
     if not ops:
-        return BatchResult(tree.root(), counters, TWO_PHASE)
+        return BatchResult(tree.root(), counters)
 
     started = time.perf_counter_ns()
     _write_leaves(tree, ops)
@@ -239,7 +238,7 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     counters.hash_invocations += hashed_leaves
     counters.levels_processed = tree.depth
-    return BatchResult(new_root, counters, TWO_PHASE)
+    return BatchResult(new_root, counters)
 
 
 def _rehash_recursive(

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from .batch import OBU, TWO_PHASE, BatchResult, batch_update, two_phase_update
-from .smt_core import MAX_DEPTH, LeafOperation, SparseMerkleTree, gen
+from .smt_core import MAX_DEPTH, OP_INSERT, OP_UPDATE, LeafOperation, SparseMerkleTree, gen
 from .workload import (
     DISPERSED_TXS_PER_BLOCK,
     BlockTrace,
@@ -29,8 +29,7 @@ from .workload import (
     filter_transfer_swap,
     gen_dispersed_blocks,
     gen_hot_blocks,
-    gen_sequential_inserts,
-    gen_sequential_updates,
+    gen_sequential_ops,
     gen_synthetic_blocks,
     gen_uniform_updates,
     parse_block_trace,
@@ -56,7 +55,9 @@ ENGINES: dict[str, Callable[..., BatchResult]] = {
     TWO_PHASE: two_phase_update,
     OBU: batch_update,
 }
-FIXTURE_KINDS = ("synthetic100", "hot", "dispersed")
+# The gen-fixture options each fixture kind takes; it rejects the others.
+FIXTURE_OPTIONS = {"synthetic100": ("seed",), "hot": ("k", "blocks"), "dispersed": ("blocks",)}
+FIXTURE_KINDS = tuple(FIXTURE_OPTIONS)
 DEFAULT_FIXTURE_SEED = 1318
 # Size bounds, checked before anything is allocated, so that no CLI value can
 # make memory grow without bound.
@@ -307,11 +308,11 @@ def _aggregate(
 def _micro_ops(workload: str, k: int, depth: int, seed: int) -> tuple[list[LeafOperation], bool]:
     """(op list, whether the tree must be pre-populated with the target leaves)."""
     if workload == "seq-update":
-        return gen_sequential_updates(k, 0, depth=depth, seed=seed), True
+        return gen_sequential_ops(OP_UPDATE, k, depth=depth, seed=seed), True
     if workload == "rand-update":
         return gen_uniform_updates(k, seed, depth=depth), True
     if workload == "seq-insert":
-        return gen_sequential_inserts(k, 0, depth=depth, seed=seed), False
+        return gen_sequential_ops(OP_INSERT, k, depth=depth, seed=seed), False
     raise BenchConfigError(f"unknown micro workload {workload!r}")
 
 
@@ -403,22 +404,28 @@ def gen_fixture(
     kind: str,
     out_path: str | Path,
     *,
-    seed: int = DEFAULT_FIXTURE_SEED,
-    k: int = 48,
+    seed: int | None = None,
+    k: int | None = None,
     blocks: int | None = None,
 ) -> list[BlockTrace]:
-    """Write a deterministic trace fixture; same arguments, same bytes. `k`
-    and `blocks` (default 10) size the hot and dispersed kinds, and are checked
-    against MAX_FIXTURE_TXS before anything is generated."""
+    """Write a deterministic trace fixture; same arguments, same bytes.
+    `seed` (default DEFAULT_FIXTURE_SEED) seeds the synthetic100 kind; `k`
+    (default 48, hot only) and `blocks` (default 10) size the hot and
+    dispersed kinds, and are checked against MAX_FIXTURE_TXS before anything
+    is generated. An option the kind does not take is an error, not ignored."""
     if kind not in FIXTURE_KINDS:
         raise BenchConfigError(f"unknown fixture kind {kind!r}")
+    for name, value in {"seed": seed, "k": k, "blocks": blocks}.items():
+        if value is not None and name not in FIXTURE_OPTIONS[kind]:
+            raise BenchConfigError(f"fixture kind {kind!r} takes no --{name}")
     if kind == "synthetic100":
-        trace = gen_synthetic_blocks(seed=seed)
+        trace = gen_synthetic_blocks(seed=DEFAULT_FIXTURE_SEED if seed is None else seed)
     else:
         blocks = 10 if blocks is None else blocks
+        k = 48 if k is None else k
         per_block = k if kind == "hot" else DISPERSED_TXS_PER_BLOCK
         if blocks < 1 or per_block < 1:
-            raise BenchConfigError(f"blocks and k must be >= 1, got blocks={blocks}, k={k}")
+            raise BenchConfigError(f"blocks and k must be >= 1, got blocks={blocks}, k={per_block}")
         if blocks * per_block > MAX_FIXTURE_TXS:
             raise BenchConfigError(
                 f"{blocks} blocks of {per_block} transactions exceed "

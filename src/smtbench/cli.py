@@ -65,11 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     fixture = subs.add_parser("gen-fixture", help="write a deterministic trace fixture")
     fixture.add_argument("--kind", choices=FIXTURE_KINDS, required=True)
     fixture.add_argument("--out", required=True)
-    fixture.add_argument("--seed", type=int, default=DEFAULT_FIXTURE_SEED)
-    fixture.add_argument("--k", type=int, default=48,
-                         help="transfers per block for the hot fixture")
+    fixture.add_argument("--seed", type=int, default=None,
+                         help=f"synthetic100 only: trace seed (default {DEFAULT_FIXTURE_SEED})")
+    fixture.add_argument("--k", type=int, default=None,
+                         help="hot only: transfers per block (default 48)")
     fixture.add_argument("--blocks", type=int, default=None,
-                         help="block count for hot/dispersed fixtures")
+                         help="hot and dispersed only: block count (default 10)")
     fixture.set_defaults(func=_cmd_fixture)
     return parser
 

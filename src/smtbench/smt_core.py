@@ -176,7 +176,7 @@ class SparseMerkleTree:
         self.scheme = scheme
         self.cache: dict[int, bytes] = {}
         self.leaf_values: dict[int, bytes] = {}
-        self.defaults: list[bytes] = default_digests(scheme, depth)
+        self.defaults: tuple[bytes, ...] = tuple(default_digests(scheme, depth))
 
     @property
     def capacity(self) -> int:
@@ -215,12 +215,6 @@ class SparseMerkleTree:
             else:
                 ops.append(LeafOperation.insert(index, entries[index]))
         return batch_update(self, ops).new_root
-
-    def apply_op(self, op: LeafOperation) -> bytes:
-        """Apply a single leaf operation and return the new root."""
-        from .batch import batch_update
-
-        return batch_update(self, [op]).new_root
 
     def member_witness_create(self, index: int) -> Witness:
         """Sibling path for a leaf slot, present or absent; pruned siblings

@@ -24,7 +24,7 @@ from .account_model import (
     decode_account,
     encode_account,
 )
-from .smt_core import OP_REMOVE, FrozenValue, LeafOperation, LeafRangeError
+from .smt_core import OP_REMOVE, FrozenValue, LeafOperation, LeafRangeError, OpKind
 
 SEED_BALANCE = 10**30  # pre-seeded accounts can fund any synthetic flow
 _PAYLOAD_BYTES = 32
@@ -50,8 +50,6 @@ class TxType(str, Enum):
     DEPOSIT = "Deposit"
     FULL_EXIT = "FullExit"
 
-
-PRIORITY_TYPES = frozenset({TxType.DEPOSIT, TxType.FULL_EXIT})
 
 # Roles: which of a transaction's account fields a step acts on.
 FROM, TO = "from", "to"
@@ -128,10 +126,6 @@ class TxRecord(FrozenValue):
         _set_token(self, token_id)
         _set_amount(self, amount)
 
-    @property
-    def is_priority(self) -> bool:
-        return self.tx_type in PRIORITY_TYPES
-
 
 # The slots' own setters, which bypass the write guard.
 _set_tx_type = TxRecord.tx_type.__set__
@@ -164,18 +158,6 @@ class AccountBook:
     def __init__(self, accounts: Iterable[Account] = ()) -> None:
         self.accounts: dict[int, Account] = {a.account_id: a for a in accounts}
         self._encoded: dict[int, tuple[bytes, Account]] = {}
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.accounts
-
-    def __len__(self) -> int:
-        return len(self.accounts)
-
-    def get(self, index: int) -> Account | None:
-        return self.accounts.get(index)
-
-    def put(self, account: Account) -> None:
-        self.accounts[account.account_id] = account
 
     def clone(self) -> "AccountBook":
         book = AccountBook()
@@ -318,15 +300,14 @@ def required_preseed(blocks: Iterable[BlockTrace]) -> tuple[set[int], set[int]]:
     return preseed, tokens
 
 
-def build_preseed_book(blocks: Iterable[BlockTrace], seed_balance: int = SEED_BALANCE) -> AccountBook:
-    """Account book holding every account a trace expects to pre-exist, funded
-    far beyond anything the trace can spend."""
+def build_preseed_book(blocks: Iterable[BlockTrace]) -> AccountBook:
+    """Account book holding every account a trace expects to pre-exist, each
+    holding SEED_BALANCE of every token the trace uses."""
     preseed, tokens = required_preseed(blocks)
-    balances = {token: seed_balance for token in sorted(tokens)}
-    book = AccountBook()
-    for index in sorted(preseed):
-        book.put(Account(index, 0, default_pubkey(index), dict(balances)))
-    return book
+    balances = {token: SEED_BALANCE for token in sorted(tokens)}
+    return AccountBook(
+        Account(index, 0, default_pubkey(index), dict(balances)) for index in sorted(preseed)
+    )
 
 
 def filter_transfer_swap(blocks: Iterable[BlockTrace]) -> list[BlockTrace]:
@@ -344,18 +325,12 @@ def filter_transfer_swap(blocks: Iterable[BlockTrace]) -> list[BlockTrace]:
 # -- micro-benchmark generators --------------------------------------------------
 
 
-def gen_sequential_updates(
-    k: int, start: int = 0, *, depth: int, seed: int = 0
-) -> list[LeafOperation]:
-    """k update ops on consecutive leaf indices with seeded random payloads."""
-    if start < 0 or start + k > (1 << depth):
-        raise LeafRangeError(
-            f"updates [{start}, {start + k}) exceed capacity 2^{depth}"
-        )
+def gen_sequential_ops(kind: OpKind, k: int, *, depth: int, seed: int) -> list[LeafOperation]:
+    """k insert or update ops on leaves 0 .. k-1 with seeded random payloads."""
+    if k > 1 << depth:
+        raise LeafRangeError(f"{kind.value}s [0, {k}) exceed capacity 2^{depth}")
     rng = random.Random(seed)
-    return [
-        LeafOperation.update(start + i, rng.randbytes(_PAYLOAD_BYTES)) for i in range(k)
-    ]
+    return [LeafOperation(kind, i, rng.randbytes(_PAYLOAD_BYTES)) for i in range(k)]
 
 
 def gen_uniform_updates(k: int, seed: int, *, depth: int) -> list[LeafOperation]:
@@ -365,20 +340,6 @@ def gen_uniform_updates(k: int, seed: int, *, depth: int) -> list[LeafOperation]
     return [
         LeafOperation.update(rng.randrange(capacity), rng.randbytes(_PAYLOAD_BYTES))
         for _ in range(k)
-    ]
-
-
-def gen_sequential_inserts(
-    k: int, start: int = 0, *, depth: int, seed: int = 0
-) -> list[LeafOperation]:
-    """k insert ops on consecutive fresh leaf indices."""
-    if start < 0 or start + k > (1 << depth):
-        raise LeafRangeError(
-            f"inserts [{start}, {start + k}) exceed capacity 2^{depth}"
-        )
-    rng = random.Random(seed)
-    return [
-        LeafOperation.insert(start + i, rng.randbytes(_PAYLOAD_BYTES)) for i in range(k)
     ]
 
 
@@ -393,57 +354,36 @@ def setup_inserts(ops: Iterable[LeafOperation], seed: int = 1) -> list[LeafOpera
 # -- macro-benchmark trace generators ---------------------------------------------
 
 
-def gen_hot_account_trace(
-    k: int,
-    hot_index: int,
-    *,
-    block_number: int = 1,
-    counterparty_start: int | None = None,
-    token_id: int = 0,
-    amount: int = 1,
-) -> BlockTrace:
-    """One block of k transfers all sent from one hot account to k distinct
-    counterparties."""
-    start = hot_index + 1 if counterparty_start is None else counterparty_start
-    txs = tuple(
-        TxRecord(TxType.TRANSFER, hot_index, start + i, token_id, amount)
-        for i in range(k)
-    )
-    return BlockTrace(block_number, txs)
+HOT_ACCOUNT = 0
 
 
-def gen_hot_blocks(blocks: int = 10, k: int = 48, hot_index: int = 0) -> list[BlockTrace]:
-    """Hot-account fixture: every block funnels k transfers through the same
-    leaf, with counterparties never reused across blocks."""
-    out = []
-    cursor = hot_index + 1
-    for b in range(blocks):
-        out.append(
-            gen_hot_account_trace(
-                k, hot_index, block_number=b + 1, counterparty_start=cursor
-            )
-        )
-        cursor += k
-    return out
+def gen_hot_blocks(blocks: int, k: int) -> list[BlockTrace]:
+    """Hot-account fixture: every block holds k transfers of 1 unit of token 0
+    from HOT_ACCOUNT, each to a counterparty no other transfer uses."""
+    return [
+        BlockTrace(b + 1, tuple(
+            TxRecord(TxType.TRANSFER, HOT_ACCOUNT, HOT_ACCOUNT + 1 + b * k + i, 0, 1)
+            for i in range(k)
+        ))
+        for b in range(blocks)
+    ]
 
 
 DISPERSED_TXS_PER_BLOCK = 83
 
 
-def gen_dispersed_blocks(
-    blocks: int = 10, txs_per_block: int = DISPERSED_TXS_PER_BLOCK, start: int = 0
-) -> list[BlockTrace]:
-    """Dispersed fixture: every transfer touches a brand-new pair of accounts,
-    so batches share as few ancestors as possible."""
-    out = []
-    cursor = start
-    for b in range(blocks):
-        txs = []
-        for _ in range(txs_per_block):
-            txs.append(TxRecord(TxType.TRANSFER, cursor, cursor + 1, 0, 1))
-            cursor += 2
-        out.append(BlockTrace(b + 1, tuple(txs)))
-    return out
+def gen_dispersed_blocks(blocks: int) -> list[BlockTrace]:
+    """Dispersed fixture: every block holds DISPERSED_TXS_PER_BLOCK transfers,
+    each between a brand-new pair of accounts, so batches share as few
+    ancestors as possible."""
+    per_block = DISPERSED_TXS_PER_BLOCK
+    return [
+        BlockTrace(b + 1, tuple(
+            TxRecord(TxType.TRANSFER, 2 * i, 2 * i + 1, 0, 1)
+            for i in range(b * per_block, (b + 1) * per_block)
+        ))
+        for b in range(blocks)
+    ]
 
 
 # Weights follow the observed mix of an L2 block sample: swaps and transfers
@@ -458,36 +398,34 @@ _NORMAL_TX_WEIGHTS = [
 ]
 
 
-def _block_sizes(
-    rng: random.Random, blocks: int, total: int, lo: int, hi: int
-) -> list[int]:
+# The synthetic trace's shape, as measured on the same sample.
+_TX_PER_ACCOUNT = 2.5  # sets the participant pool size, so the reuse rate
+_MIN_BLOCK, _MAX_BLOCK = 74, 133  # transactions per block
+_TOKENS = 4
+_DEPOSIT_RATE = 0.8  # share of blocks sealed with a Deposit
+
+
+def _block_sizes(rng: random.Random, blocks: int, total: int) -> list[int]:
     base = total // blocks
     sizes = [base + (1 if i < total - base * blocks else 0) for i in range(blocks)]
     for _ in range(blocks * 4):
         i, j = rng.randrange(blocks), rng.randrange(blocks)
         shift = rng.randint(1, 10)
-        if sizes[i] - shift >= lo and sizes[j] + shift <= hi:
+        if sizes[i] - shift >= _MIN_BLOCK and sizes[j] + shift <= _MAX_BLOCK:
             sizes[i] -= shift
             sizes[j] += shift
     return sizes
 
 
 def gen_synthetic_blocks(
-    seed: int = 1318,
-    blocks: int = 100,
-    total_txs: int = 8376,
-    avg_tx_per_account: float = 2.5,
-    min_block: int = 74,
-    max_block: int = 133,
-    tokens: int = 4,
-    deposit_rate: float = 0.8,
+    seed: int = 1318, blocks: int = 100, total_txs: int = 8376
 ) -> list[BlockTrace]:
     """Shape-matched synthetic macro trace.
 
     Reproduces the dataset statistics the macro-benchmark cares about: block
     count, total transactions, block-size bounds, dominant swap/transfer mix,
-    and account-reuse rate (the avg_tx_per_account knob sets the participant
-    pool size). Priority transactions respect block sealing: at most one per
+    and account-reuse rate (`_TX_PER_ACCOUNT` sets the participant pool
+    size). Priority transactions respect block sealing: at most one per
     block, always in the final slot.
 
     About half the sealing Deposits credit an existing account: the sender of
@@ -496,8 +434,8 @@ def gen_synthetic_blocks(
     block with no earlier transaction, create a fresh account above the pool.
     """
     rng = random.Random(seed)
-    sizes = _block_sizes(rng, blocks, total_txs, min_block, max_block)
-    pool_size = max(2, round(total_txs / avg_tx_per_account))
+    sizes = _block_sizes(rng, blocks, total_txs)
+    pool_size = max(2, round(total_txs / _TX_PER_ACCOUNT))
     fresh_cursor = pool_size  # deposit-created accounts sit above the pool
     kinds = [k for k, _ in _NORMAL_TX_WEIGHTS]
     weights = [w for _, w in _NORMAL_TX_WEIGHTS]
@@ -508,11 +446,11 @@ def gen_synthetic_blocks(
     out = []
     for b, size in enumerate(sizes):
         txs: list[TxRecord] = []
-        seal_with_deposit = rng.random() < deposit_rate
+        seal_with_deposit = rng.random() < _DEPOSIT_RATE
         normal_slots = size - 1 if seal_with_deposit else size
         for _ in range(normal_slots):
             kind = rng.choices(kinds, weights)[0]
-            token = rng.randrange(tokens)
+            token = rng.randrange(_TOKENS)
             if kind in (TxType.TRANSFER, TxType.SWAP):
                 sender = participant()
                 target = participant()
@@ -539,7 +477,7 @@ def gen_synthetic_blocks(
                 target = fresh_cursor
                 fresh_cursor += 1
             txs.append(
-                TxRecord(TxType.DEPOSIT, None, target, rng.randrange(tokens),
+                TxRecord(TxType.DEPOSIT, None, target, rng.randrange(_TOKENS),
                          rng.randint(1, 10**6))
             )
         out.append(BlockTrace(b + 1, tuple(txs)))

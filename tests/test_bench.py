@@ -307,9 +307,9 @@ def test_gen_fixture_rejects_unknown_kind(tmp_path):
     [
         ("hot", 48, 0, "blocks and k must be >= 1, got blocks=0"),
         ("hot", 0, 3, "blocks and k must be >= 1, got blocks=3, k=0"),
-        ("dispersed", 48, -1, "blocks and k must be >= 1"),
+        ("dispersed", None, -1, "blocks and k must be >= 1"),
         ("hot", 1_000, 1_001, "1001 blocks of 1000 transactions exceed MAX_FIXTURE_TXS=1000000"),
-        ("dispersed", 48, MAX_FIXTURE_TXS // 83 + 1, "exceed MAX_FIXTURE_TXS"),
+        ("dispersed", None, MAX_FIXTURE_TXS // 83 + 1, "exceed MAX_FIXTURE_TXS"),
     ],
 )
 def test_gen_fixture_checks_its_size_before_generating(tmp_path, kind, k, blocks, match):

@@ -55,6 +55,23 @@ def test_gen_fixture_subcommand_matches_bundled(tmp_path, repo_root):
     assert out.read_bytes() == (repo_root / "traces" / "hot_account.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        ("dispersed", "--k", "5"),
+        ("dispersed", "--seed", "9"),
+        ("synthetic100", "--blocks", "3"),
+        ("synthetic100", "--k", "5"),
+        ("hot", "--seed", "9"),
+    ],
+)
+def test_gen_fixture_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "x.json"
+    assert main(["gen-fixture", "--kind", kind, flag, value, "--out", str(out)]) == 1
+    assert f"fixture kind {kind!r} takes no {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_trace_is_io_error(tmp_path):
     proc = run_cli(
         "macro", "--trace", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")

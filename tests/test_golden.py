@@ -131,7 +131,7 @@ def test_self_forced_exit_updates_then_removes():
     assert [(op.kind.value, op.index) for op in ops] == [("update", 1), ("remove", 1)]
     assert ops[0].value == encode_account(Account(1, 1, default_pubkey(1), {0: 10**9}))
     apply_leaf_ops(book, ops)
-    assert 1 not in book
+    assert 1 not in book.accounts
 
 
 def test_self_transfer_to_new_rejected_and_book_untouched():

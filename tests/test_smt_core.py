@@ -110,7 +110,7 @@ def test_update_identical_value_keeps_root():
     tree = build(4, {5: b"x"})
     root = tree.root()
     digest = tree.cache[tree.leaf_heap_index(5)]
-    tree.apply_op(LeafOperation.update(5, b"x"))
+    batch_update(tree, [LeafOperation.update(5, b"x")])
     assert tree.cache[tree.leaf_heap_index(5)] == digest
     assert tree.root() == root
 
@@ -118,14 +118,14 @@ def test_update_identical_value_keeps_root():
 def test_insert_then_remove_restores_empty_root():
     tree = gen(5)
     empty = tree.root()
-    tree.apply_op(LeafOperation.insert(7, b"v"))
+    batch_update(tree, [LeafOperation.insert(7, b"v")])
     assert tree.root() != empty
-    tree.apply_op(LeafOperation.remove(7))
+    batch_update(tree, [LeafOperation.remove(7)])
     assert tree.root() == empty
     assert tree.cache == {}
 
 
-# -- commit / apply_op ---------------------------------------------------------
+# -- commit ----------------------------------------------------------------------
 
 
 def test_commit_empty_is_noop():
@@ -162,14 +162,6 @@ def test_commit_overwrites_existing():
 def test_commit_out_of_range_key():
     with pytest.raises(LeafRangeError):
         gen(3).commit({8: b"x"})
-
-
-def test_apply_op_matches_singleton_batch():
-    t1 = build(4, {2: b"v"})
-    t2 = t1.clone()
-    root1 = t1.apply_op(LeafOperation.update(2, b"w"))
-    root2 = batch_update(t2, [LeafOperation.update(2, b"w")]).new_root
-    assert root1 == root2
 
 
 # -- witnesses -------------------------------------------------------------------
@@ -400,9 +392,17 @@ def test_snapshot_accepts_boundary_indices():
 def test_clone_is_independent():
     tree = build(4, {1: b"a"})
     copy = tree.clone()
-    copy.apply_op(LeafOperation.insert(2, b"b"))
+    batch_update(copy, [LeafOperation.insert(2, b"b")])
     assert 2 not in tree.leaf_values
     assert tree.root() != copy.root()
+
+
+def test_clone_defaults_cannot_be_written_through():
+    tree = gen(4)
+    copy = tree.clone()
+    with pytest.raises(TypeError):
+        copy.defaults[0] = b"x"
+    assert list(tree.defaults) == empty_digests(4)[::-1]
 
 
 def test_consistency_walker_detects_corruption():

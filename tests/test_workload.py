@@ -22,8 +22,8 @@ from smtbench.workload import (
     default_pubkey,
     filter_transfer_swap,
     gen_dispersed_blocks,
-    gen_hot_account_trace,
-    gen_sequential_updates,
+    gen_hot_blocks,
+    gen_sequential_ops,
     gen_synthetic_blocks,
     gen_uniform_updates,
     parse_block_trace,
@@ -57,10 +57,10 @@ def test_transfer_decomposition():
     assert kinds(ops) == ["update", "update"]
     assert [op.index for op in ops] == [1, 2]
     apply_leaf_ops(book, ops)
-    assert book.get(1).balances[0] == 10**9 - 100
-    assert book.get(1).nonce == 1
-    assert book.get(2).balances[0] == 10**9 + 100
-    assert book.get(2).nonce == 0
+    assert book.accounts[1].balances[0] == 10**9 - 100
+    assert book.accounts[1].nonce == 1
+    assert book.accounts[2].balances[0] == 10**9 + 100
+    assert book.accounts[2].nonce == 0
 
 
 def test_transfer_to_new_decomposition():
@@ -69,7 +69,7 @@ def test_transfer_to_new_decomposition():
     assert kinds(ops) == ["update", "insert"]
     assert ops[1].index == 7
     apply_leaf_ops(book, ops)
-    assert book.get(7).balances == {0: 10}
+    assert book.accounts[7].balances == {0: 10}
 
 
 def test_transfer_to_new_rejects_existing_target():
@@ -84,7 +84,7 @@ def test_withdraw_and_change_pubkey_are_single_updates():
     ops = tx_to_leaf_ops(TxRecord(TxType.CHANGE_PUBKEY, 1, None, 0, 0), book)
     assert kinds(ops) == ["update"]
     apply_leaf_ops(book, ops)
-    assert book.get(1).pubkey_hash != default_pubkey(1)
+    assert book.accounts[1].pubkey_hash != default_pubkey(1)
 
 
 def test_nft_decompositions():
@@ -103,7 +103,7 @@ def test_forced_exit_and_full_exit_remove_target():
         ops = tx_to_leaf_ops(TxRecord(tx_type, 1, 2, 0, 0), book)
         assert kinds(ops) == ["update", "remove"]
         apply_leaf_ops(book, ops)
-        assert 2 not in book
+        assert 2 not in book.accounts
 
 
 def test_swap_decomposition_bumps_both_nonces():
@@ -111,8 +111,8 @@ def test_swap_decomposition_bumps_both_nonces():
     ops = tx_to_leaf_ops(TxRecord(TxType.SWAP, 1, 2, 0, 50), book)
     assert kinds(ops) == ["update", "update"]
     apply_leaf_ops(book, ops)
-    assert book.get(1).nonce == 1
-    assert book.get(2).nonce == 1
+    assert book.accounts[1].nonce == 1
+    assert book.accounts[2].nonce == 1
 
 
 def test_deposit_upserts():
@@ -212,7 +212,7 @@ def test_failed_tx_leaves_the_book_untouched():
         for tx in (TxRecord(TxType.TRANSFER, 1, 2, 0, 10), TxRecord(TxType.SWAP, 2, 1, 0, 4)):
             apply(target, tx_to_leaf_ops(tx, target))
     assert book.accounts == reference.accounts
-    assert book.get(1) == Account(1, 5, default_pubkey(1), {0: 10**9 - 6})
+    assert book.accounts[1] == Account(1, 5, default_pubkey(1), {0: 10**9 - 6})
 
 
 def test_self_transfer_threads_state_through_the_tx():
@@ -220,8 +220,8 @@ def test_self_transfer_threads_state_through_the_tx():
     ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 1, 0, 100), book)
     assert [op.index for op in ops] == [1, 1]
     apply_leaf_ops(book, ops)
-    assert book.get(1).balances[0] == 10**9
-    assert book.get(1).nonce == 1
+    assert book.accounts[1].balances[0] == 10**9
+    assert book.accounts[1].nonce == 1
 
 
 # -- reusing the accounts decomposition encoded ---------------------------------------
@@ -270,13 +270,13 @@ def test_a_payload_that_is_not_the_recorded_one_is_decoded():
     tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 100), book)
     other = Account(1, 7, default_pubkey(1), {0: 5})
     apply_leaf_ops(book, [LeafOperation.update(1, encode_account(other))])
-    assert book.get(1) == other
+    assert book.accounts[1] == other
     # An equal payload in another bytes object is decoded, to an equal account.
     ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 1), book)
     recorded = book._encoded[1][1]
     copy = LeafOperation.update(1, bytes(bytearray(ops[0].value)))
     apply_leaf_ops(book, [copy])
-    assert book.get(1) == recorded and book.get(1) is not recorded
+    assert book.accounts[1] == recorded and book.accounts[1] is not recorded
 
 
 @pytest.mark.parametrize("tx_type, nonce", [(TxType.TRANSFER, 1), (TxType.SWAP, 2)])
@@ -298,16 +298,10 @@ def test_a_clone_does_not_see_the_originals_records():
     clone = book.clone()
     assert clone._encoded == {}
     apply_leaf_ops(clone, ops)
-    assert clone.get(1) == recorded and clone.get(1) is not recorded
+    assert clone.accounts[1] == recorded and clone.accounts[1] is not recorded
     assert set(book._encoded) == {1, 2}
     apply_leaf_ops(book, ops)
-    assert book.get(1) is recorded
-
-
-def test_priority_flag():
-    assert TxRecord(TxType.DEPOSIT, None, 1, 0, 1).is_priority
-    assert TxRecord(TxType.FULL_EXIT, 1, 2, 0, 0).is_priority
-    assert not TxRecord(TxType.TRANSFER, 1, 2, 0, 1).is_priority
+    assert book.accounts[1] is recorded
 
 
 # -- pre-seeding ---------------------------------------------------------------------
@@ -399,23 +393,29 @@ def test_build_preseed_book_funds_all_tokens():
     ]
     book = build_preseed_book(blocks)
     assert set(book.accounts) == {1, 2}
-    assert set(book.get(1).balances) == {3, 7}
+    assert set(book.accounts[1].balances) == {3, 7}
 
 
 # -- generators ------------------------------------------------------------------------
 
 
-def test_sequential_updates_shape_and_determinism():
-    ops = gen_sequential_updates(3, 0, depth=8, seed=4)
+@pytest.mark.parametrize("kind", [OpKind.UPDATE, OpKind.INSERT])
+def test_sequential_ops_shape_and_determinism(kind):
+    ops = gen_sequential_ops(kind, 3, depth=8, seed=4)
     assert [op.index for op in ops] == [0, 1, 2]
-    assert all(op.kind is OpKind.UPDATE for op in ops)
-    assert ops == gen_sequential_updates(3, 0, depth=8, seed=4)
-    assert ops != gen_sequential_updates(3, 0, depth=8, seed=5)
+    assert all(op.kind is kind for op in ops)
+    assert ops == gen_sequential_ops(kind, 3, depth=8, seed=4)
+    assert ops != gen_sequential_ops(kind, 3, depth=8, seed=5)
+    # Both kinds draw the same payloads from the seed.
+    assert [op.value for op in ops] == [
+        op.value for op in gen_sequential_ops(OpKind.UPDATE, 3, depth=8, seed=4)
+    ]
 
 
-def test_sequential_updates_range_check():
-    with pytest.raises(LeafRangeError):
-        gen_sequential_updates(10, 250, depth=8, seed=0)
+def test_sequential_ops_range_check():
+    assert len(gen_sequential_ops(OpKind.INSERT, 256, depth=8, seed=0)) == 256
+    with pytest.raises(LeafRangeError, match=r"inserts \[0, 257\) exceed capacity 2\^8"):
+        gen_sequential_ops(OpKind.INSERT, 257, depth=8, seed=0)
 
 
 def test_uniform_updates_deterministic_and_pinned():
@@ -445,8 +445,8 @@ def test_setup_inserts_cover_distinct_targets():
     assert all(op.kind is OpKind.INSERT for op in inserts)
 
 
-def test_hot_account_trace_shape():
-    trace = gen_hot_account_trace(48, 0)
+def test_hot_blocks_shape():
+    (trace,) = gen_hot_blocks(1, 48)
     assert len(trace.txs) == 48
     assert {tx.from_account for tx in trace.txs} == {0}
     counterparties = [tx.to_account for tx in trace.txs]
@@ -454,8 +454,9 @@ def test_hot_account_trace_shape():
     book = build_preseed_book([trace])
     ops = replay_blocks([trace], book)[0][1]
     assert len(ops) == 2 * 48
-    single = gen_hot_account_trace(1, 5)
-    assert len(single.txs) == 1
+    blocks = gen_hot_blocks(3, 4)
+    assert [block.block_number for block in blocks] == [1, 2, 3]
+    assert [tx.to_account for block in blocks for tx in block.txs] == list(range(1, 13))
 
 
 def test_synthetic_blocks_match_dataset_shape():
@@ -471,7 +472,7 @@ def test_synthetic_blocks_match_dataset_shape():
     # priority sealing: a priority tx can only close its block
     for block in blocks:
         for position, tx in enumerate(block.txs):
-            if tx.is_priority:
+            if tx.tx_type in (TxType.DEPOSIT, TxType.FULL_EXIT):
                 assert position == len(block.txs) - 1
     # account-reuse knob: unique participants give roughly 2.5 tx/account
     participants = set()
@@ -485,7 +486,8 @@ def test_synthetic_blocks_match_dataset_shape():
 
 
 def test_dispersed_blocks_never_reuse_accounts():
-    blocks = gen_dispersed_blocks(blocks=4, txs_per_block=10)
+    blocks = gen_dispersed_blocks(4)
+    assert [len(block.txs) for block in blocks] == [83] * 4
     seen = set()
     for block in blocks:
         for tx in block.txs:
@@ -512,7 +514,7 @@ def test_filter_transfer_swap():
 
 
 def test_serialize_parse_round_trip():
-    blocks = gen_synthetic_blocks(seed=2, blocks=3, total_txs=250, min_block=74, max_block=133)
+    blocks = gen_synthetic_blocks(seed=2, blocks=3, total_txs=250)
     text = serialize_block_traces(blocks)
     assert parse_block_trace_text(text) == blocks
 
@@ -591,7 +593,7 @@ def test_parse_error_messages_name_the_transaction(txs, message):
     assert str(err.value) == message
 
 
-def test_bundled_fixtures_parse_and_regenerate(repo_root):
+def test_bundled_fixtures_parse_and_regenerate(repo_root, tmp_path):
     from smtbench.bench import gen_fixture
 
     for name, kind in [
@@ -601,12 +603,9 @@ def test_bundled_fixtures_parse_and_regenerate(repo_root):
     ]:
         bundled = repo_root / "traces" / name
         parse_block_trace(bundled)  # must be loadable
-        regenerated = repo_root / "traces" / f".tmp_{name}"
-        try:
-            gen_fixture(kind, regenerated)
-            assert regenerated.read_bytes() == bundled.read_bytes(), name
-        finally:
-            regenerated.unlink(missing_ok=True)
+        regenerated = tmp_path / name
+        gen_fixture(kind, regenerated)
+        assert regenerated.read_bytes() == bundled.read_bytes(), name
 
 
 def test_bundled_fixture_replays_through_both_engines(repo_root):
