@@ -23,7 +23,6 @@ from typing import Callable
 from .batch import OBU, TWO_PHASE, BatchResult, batch_update, two_phase_update
 from .smt_core import MAX_DEPTH, OP_INSERT, OP_UPDATE, LeafOperation, SparseMerkleTree, gen
 from .workload import (
-    DISPERSED_TXS_PER_BLOCK,
     BlockTrace,
     build_preseed_book,
     filter_transfer_swap,
@@ -55,15 +54,14 @@ ENGINES: dict[str, Callable[..., BatchResult]] = {
     TWO_PHASE: two_phase_update,
     OBU: batch_update,
 }
-# The gen-fixture options each fixture kind takes; it rejects the others.
-FIXTURE_OPTIONS = {"synthetic100": ("seed",), "hot": ("k", "blocks"), "dispersed": ("blocks",)}
-FIXTURE_KINDS = tuple(FIXTURE_OPTIONS)
-DEFAULT_FIXTURE_SEED = 1318
+FIXTURE_KINDS = ("synthetic100", "hot", "dispersed")
+FIXTURE_SEED = 1318  # synthetic100
+FIXTURE_BLOCKS = 10  # hot and dispersed
+FIXTURE_HOT_K = 48  # transfers per hot block
 # Size bounds, checked before anything is allocated, so that no CLI value can
 # make memory grow without bound.
 MAX_BATCH_OPS = 1 << 20  # ops in one micro batch (each k of a sweep)
 MAX_RUNS = 1_000  # timed runs per engine and point
-MAX_FIXTURE_TXS = 10**6  # transactions in one generated fixture
 REPO_ROOT = Path(__file__).resolve().parents[2]  # the checkout, when run from src/
 
 
@@ -400,40 +398,15 @@ def run_macro(config: BenchConfig) -> BenchReport:
     return report
 
 
-def gen_fixture(
-    kind: str,
-    out_path: str | Path,
-    *,
-    seed: int | None = None,
-    k: int | None = None,
-    blocks: int | None = None,
-) -> list[BlockTrace]:
-    """Write a deterministic trace fixture; same arguments, same bytes.
-    `seed` (default DEFAULT_FIXTURE_SEED) seeds the synthetic100 kind; `k`
-    (default 48, hot only) and `blocks` (default 10) size the hot and
-    dispersed kinds, and are checked against MAX_FIXTURE_TXS before anything
-    is generated. An option the kind does not take is an error, not ignored."""
-    if kind not in FIXTURE_KINDS:
-        raise BenchConfigError(f"unknown fixture kind {kind!r}")
-    for name, value in {"seed": seed, "k": k, "blocks": blocks}.items():
-        if value is not None and name not in FIXTURE_OPTIONS[kind]:
-            raise BenchConfigError(f"fixture kind {kind!r} takes no --{name}")
+def gen_fixture(kind: str, out_path: str | Path) -> list[BlockTrace]:
+    """Write the deterministic trace fixture of one kind; same kind, same bytes."""
     if kind == "synthetic100":
-        trace = gen_synthetic_blocks(seed=DEFAULT_FIXTURE_SEED if seed is None else seed)
+        trace = gen_synthetic_blocks(seed=FIXTURE_SEED)
+    elif kind == "hot":
+        trace = gen_hot_blocks(blocks=FIXTURE_BLOCKS, k=FIXTURE_HOT_K)
+    elif kind == "dispersed":
+        trace = gen_dispersed_blocks(blocks=FIXTURE_BLOCKS)
     else:
-        blocks = 10 if blocks is None else blocks
-        k = 48 if k is None else k
-        per_block = k if kind == "hot" else DISPERSED_TXS_PER_BLOCK
-        if blocks < 1 or per_block < 1:
-            raise BenchConfigError(f"blocks and k must be >= 1, got blocks={blocks}, k={per_block}")
-        if blocks * per_block > MAX_FIXTURE_TXS:
-            raise BenchConfigError(
-                f"{blocks} blocks of {per_block} transactions exceed "
-                f"MAX_FIXTURE_TXS={MAX_FIXTURE_TXS}"
-            )
-        if kind == "hot":
-            trace = gen_hot_blocks(blocks=blocks, k=k)
-        else:
-            trace = gen_dispersed_blocks(blocks=blocks)
+        raise BenchConfigError(f"unknown fixture kind {kind!r}")
     write_block_traces(trace, out_path)
     return trace

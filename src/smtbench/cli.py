@@ -16,7 +16,6 @@ from .bench import (
     BenchConfigError,
     FIXTURE_KINDS,
     MICRO_WORKLOADS,
-    DEFAULT_FIXTURE_SEED,
     aggregate_path,
     gen_fixture,
     run_macro,
@@ -62,15 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(macro)
     macro.set_defaults(func=_cmd_macro)
 
-    fixture = subs.add_parser("gen-fixture", help="write a deterministic trace fixture")
+    # No prefix matching here: a stray --k must not be read as --kind.
+    fixture = subs.add_parser(
+        "gen-fixture", help="write a deterministic trace fixture", allow_abbrev=False
+    )
     fixture.add_argument("--kind", choices=FIXTURE_KINDS, required=True)
     fixture.add_argument("--out", required=True)
-    fixture.add_argument("--seed", type=int, default=None,
-                         help=f"synthetic100 only: trace seed (default {DEFAULT_FIXTURE_SEED})")
-    fixture.add_argument("--k", type=int, default=None,
-                         help="hot only: transfers per block (default 48)")
-    fixture.add_argument("--blocks", type=int, default=None,
-                         help="hot and dispersed only: block count (default 10)")
     fixture.set_defaults(func=_cmd_fixture)
     return parser
 
@@ -113,9 +109,7 @@ def _cmd_macro(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    trace = gen_fixture(
-        args.kind, args.out, seed=args.seed, k=args.k, blocks=args.blocks
-    )
+    trace = gen_fixture(args.kind, args.out)
     txs = sum(len(block.txs) for block in trace)
     print(f"wrote {args.out}: {len(trace)} blocks, {txs} txs")
     return 0

@@ -145,7 +145,7 @@ def hash_node(scheme: HashScheme, left: bytes, right: bytes) -> bytes:
     return hasher.node(left, right)
 
 
-def default_digests(scheme: HashScheme, depth: int) -> list[bytes]:
+def default_digests(scheme: HashScheme, depth: int) -> tuple[bytes, ...]:
     """Per-level digests of all-empty subtrees for a tree of the given depth.
 
     Index by level: entry `depth` is the default leaf digest, entry 0 is the
@@ -155,7 +155,7 @@ def default_digests(scheme: HashScheme, depth: int) -> list[bytes]:
     """
     if not 1 <= depth <= MAX_HEIGHT:
         raise ValueError(f"depth must be in [1, {MAX_HEIGHT}], got {depth}")
-    return list(scheme.empty_chain[depth::-1])
+    return scheme.empty_chain[depth::-1]
 
 
 def format_digest_table(table: list[bytes]) -> str:

@@ -176,7 +176,7 @@ class SparseMerkleTree:
         self.scheme = scheme
         self.cache: dict[int, bytes] = {}
         self.leaf_values: dict[int, bytes] = {}
-        self.defaults: tuple[bytes, ...] = tuple(default_digests(scheme, depth))
+        self.defaults: tuple[bytes, ...] = default_digests(scheme, depth)
 
     @property
     def capacity(self) -> int:

@@ -11,7 +11,6 @@ from smtbench.bench import (
     RUN_COLUMNS,
     SCHEMA_VERSION,
     MAX_BATCH_OPS,
-    MAX_FIXTURE_TXS,
     MAX_RUNS,
     BenchConfig,
     BenchConfigError,
@@ -24,6 +23,7 @@ from smtbench.bench import (
     stats_path,
 )
 from smtbench.smt_core import MAX_DEPTH, SparseMerkleTree
+from smtbench.workload import gen_hot_blocks, write_block_traces
 
 
 def read_csv(path):
@@ -215,7 +215,7 @@ def test_micro_rand_update_and_insert_workloads_run():
 @pytest.fixture(scope="module")
 def small_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "hot.json"
-    gen_fixture("hot", path, k=6, blocks=4)
+    write_block_traces(gen_hot_blocks(blocks=4, k=6), path)
     return path
 
 
@@ -276,7 +276,7 @@ def test_macro_clones_only_for_timed_runs(small_trace, monkeypatch):
 
 
 def test_macro_rejects_trace_without_transfers(tmp_path):
-    from smtbench.workload import BlockTrace, TxRecord, TxType, write_block_traces
+    from smtbench.workload import BlockTrace, TxRecord, TxType
 
     path = tmp_path / "cpk.json"
     write_block_traces([BlockTrace(1, (TxRecord(TxType.CHANGE_PUBKEY, 1, None, 0, 0),))], path)
@@ -289,31 +289,12 @@ def test_macro_rejects_trace_without_transfers(tmp_path):
 
 def test_gen_fixture_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    gen_fixture("synthetic100", a, seed=77)
-    gen_fixture("synthetic100", b, seed=77)
-    assert a.read_bytes() == b.read_bytes()
-    gen_fixture("hot", a, k=5, blocks=2)
-    gen_fixture("hot", b, k=5, blocks=2)
-    assert a.read_bytes() == b.read_bytes()
+    for kind in ("hot", "dispersed"):
+        gen_fixture(kind, a)
+        gen_fixture(kind, b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_gen_fixture_rejects_unknown_kind(tmp_path):
     with pytest.raises(BenchConfigError):
         gen_fixture("flood", tmp_path / "x.json")
-
-
-@pytest.mark.parametrize(
-    "kind,k,blocks,match",
-    [
-        ("hot", 48, 0, "blocks and k must be >= 1, got blocks=0"),
-        ("hot", 0, 3, "blocks and k must be >= 1, got blocks=3, k=0"),
-        ("dispersed", None, -1, "blocks and k must be >= 1"),
-        ("hot", 1_000, 1_001, "1001 blocks of 1000 transactions exceed MAX_FIXTURE_TXS=1000000"),
-        ("dispersed", None, MAX_FIXTURE_TXS // 83 + 1, "exceed MAX_FIXTURE_TXS"),
-    ],
-)
-def test_gen_fixture_checks_its_size_before_generating(tmp_path, kind, k, blocks, match):
-    out = tmp_path / "x.json"
-    with pytest.raises(BenchConfigError, match=match):
-        gen_fixture(kind, out, k=k, blocks=blocks)
-    assert not out.exists()

@@ -55,20 +55,21 @@ def test_gen_fixture_subcommand_matches_bundled(tmp_path, repo_root):
     assert out.read_bytes() == (repo_root / "traces" / "hot_account.json").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["synthetic100", "hot", "dispersed"])
 @pytest.mark.parametrize(
-    "kind, flag, value",
-    [
-        ("dispersed", "--k", "5"),
-        ("dispersed", "--seed", "9"),
-        ("synthetic100", "--blocks", "3"),
-        ("synthetic100", "--k", "5"),
-        ("hot", "--seed", "9"),
-    ],
+    "flags", [["--seed", "9"], ["--k", "5"], ["--blocks", "3"], ["--k", "1000000", "--blocks", "1000000"]]
 )
-def test_gen_fixture_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys, kind, flag, value):
+def test_gen_fixture_rejects_size_and_seed_flags(tmp_path, capsys, monkeypatch, kind, flags):
+    # Each kind writes one fixed trace; a size or seed flag is a usage error,
+    # raised before any trace is generated, not silently ignored.
+    def generates(*args, **kwargs):
+        raise AssertionError("generated a trace despite a rejected flag")
+
+    for generator in ("gen_synthetic_blocks", "gen_hot_blocks", "gen_dispersed_blocks"):
+        monkeypatch.setattr(bench, generator, generates)
     out = tmp_path / "x.json"
-    assert main(["gen-fixture", "--kind", kind, flag, value, "--out", str(out)]) == 1
-    assert f"fixture kind {kind!r} takes no {flag}" in capsys.readouterr().err
+    assert main(["gen-fixture", "--kind", kind, *flags, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -106,16 +107,13 @@ def test_bad_k_sweep_exits_one(tmp_path):
         (["micro", "--workload", "rand-update", "--k-sweep", "1000000000"], "MAX_BATCH_OPS"),
         (["micro", "--workload", "rand-update", "--runs", "10000000"], "MAX_RUNS"),
         (["micro", "--workload", "seq-update", "--depth", "1000000000000"], "MAX_DEPTH"),
-        (["gen-fixture", "--kind", "hot", "--k", "1000000", "--blocks", "1000000"], "MAX_FIXTURE_TXS"),
-        (["gen-fixture", "--kind", "dispersed", "--blocks", "0"], "blocks and k must be >= 1"),
     ],
 )
 def test_oversized_values_exit_one_before_allocating(tmp_path, capsys, monkeypatch, args, bound):
     def allocates(*args, **kwargs):
         raise AssertionError("built a workload past a size bound")
 
-    for generator in ("_micro_ops", "gen_hot_blocks", "gen_dispersed_blocks"):
-        monkeypatch.setattr(bench, generator, allocates)
+    monkeypatch.setattr(bench, "_micro_ops", allocates)
     out = tmp_path / "x.out"
     assert main([*args, "--out", str(out)]) == 1
     assert bound in capsys.readouterr().err

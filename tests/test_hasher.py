@@ -67,7 +67,7 @@ def test_hash_node_rejects_bad_lengths(left, right):
 
 def test_default_digests_depth_one():
     leaf = hash_leaf(DEFAULT_SCHEME, b"")
-    assert default_digests(DEFAULT_SCHEME, 1) == [hash_node(DEFAULT_SCHEME, leaf, leaf), leaf]
+    assert default_digests(DEFAULT_SCHEME, 1) == (hash_node(DEFAULT_SCHEME, leaf, leaf), leaf)
 
 
 def test_default_digests_recurrence():
