@@ -16,7 +16,7 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -39,17 +39,8 @@ from .workload import (
 from .account_model import encode_account
 
 SCHEMA_VERSION = 2
-RUN_COLUMNS = (
-    "workload", "k", "depth", "engine", "run",
-    "wall_nanos", "node_visits", "hash_invocations", "root_hex",
-)
-AGGREGATE_COLUMNS = (
-    "workload", "k", "depth", "engine", "runs",
-    "mean_nanos", "median_nanos", "stddev_nanos",
-    "node_visits", "hash_invocations", "root_hex", "percent_decrease",
-)
-
 MICRO_WORKLOADS = ("seq-update", "rand-update", "seq-insert")
+FILTER_MODES = ("all", "transfer-swap")
 ENGINES: dict[str, Callable[..., BatchResult]] = {
     TWO_PHASE: two_phase_update,
     OBU: batch_update,
@@ -81,31 +72,11 @@ def percent_decrease(baseline_nanos: float, obu_nanos: float) -> float:
     return 100.0 * (baseline_nanos - obu_nanos) / baseline_nanos
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    depth: int = 24
-    runs: int = 10
-    seed: int = 2024
-    micro_workload: str | None = None
-    k_sweep: tuple[int, ...] = (10, 100, 1000)
-    trace_path: str | Path | None = None
-    filter_mode: str = "all"  # all | transfer-swap
-
-    def validate(self) -> None:
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise BenchConfigError(f"depth must be in [1, MAX_DEPTH={MAX_DEPTH}], got {self.depth}")
-        if not 1 <= self.runs <= MAX_RUNS:
-            raise BenchConfigError(f"runs must be in [1, MAX_RUNS={MAX_RUNS}], got {self.runs}")
-        if any(k < 0 for k in self.k_sweep):
-            raise BenchConfigError("k values must be non-negative")
-        if max(self.k_sweep, default=0) > MAX_BATCH_OPS:
-            raise BenchConfigError(
-                f"k {max(self.k_sweep)} exceeds MAX_BATCH_OPS={MAX_BATCH_OPS}"
-            )
-        if self.filter_mode not in ("all", "transfer-swap"):
-            raise BenchConfigError(f"unknown filter mode {self.filter_mode!r}")
-        if self.micro_workload is not None and self.micro_workload not in MICRO_WORKLOADS:
-            raise BenchConfigError(f"unknown micro workload {self.micro_workload!r}")
+def _check_sizes(depth: int, runs: int) -> None:
+    if not 1 <= depth <= MAX_DEPTH:
+        raise BenchConfigError(f"depth must be in [1, MAX_DEPTH={MAX_DEPTH}], got {depth}")
+    if not 1 <= runs <= MAX_RUNS:
+        raise BenchConfigError(f"runs must be in [1, MAX_RUNS={MAX_RUNS}], got {runs}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +90,6 @@ class RunRecord:
     node_visits: int
     hash_invocations: int
     root_hex: str
-
-    def as_row(self) -> list:
-        return [getattr(self, name) for name in RUN_COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -139,16 +107,22 @@ class AggregateRecord:
     root_hex: str
     percent_decrease: float | None  # populated on the OBU row only
 
-    def as_row(self) -> list:
-        row = []
-        for name in AGGREGATE_COLUMNS:
-            value = getattr(self, name)
-            if isinstance(value, float):
-                value = f"{value:.4f}"
-            elif value is None:
-                value = ""
-            row.append(value)
-        return row
+
+# Each CSV's columns are its record's fields, in order.
+RUN_COLUMNS = tuple(f.name for f in fields(RunRecord))
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateRecord))
+
+
+def _write_csv(path: str | Path, columns: tuple[str, ...], records: list) -> None:
+    """Header, then one row per record: floats to four places, None blank."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([
+                "" if value is None else f"{value:.4f}" if isinstance(value, float) else value
+                for value in astuple(record)
+            ])
 
 
 @dataclass
@@ -161,18 +135,10 @@ class BenchReport:
     environment: str = ""
 
     def write_runs_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RUN_COLUMNS)
-            for row in self.rows:
-                writer.writerow(row.as_row())
+        _write_csv(path, RUN_COLUMNS, self.rows)
 
     def write_aggregates_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(AGGREGATE_COLUMNS)
-            for record in self.aggregates:
-                writer.writerow(record.as_row())
+        _write_csv(path, AGGREGATE_COLUMNS, self.aggregates)
 
     def write_stats_json(self, path: str | Path) -> None:
         doc = {
@@ -226,7 +192,8 @@ def _environment_note(root: Path = REPO_ROOT) -> str:
 
 def _bench_point(
     report: BenchReport,
-    config: BenchConfig,
+    depth: int,
+    runs: int,
     k: int,
     base: SparseMerkleTree,
     ops: list[LeafOperation],
@@ -241,7 +208,7 @@ def _bench_point(
     results: dict[str, BatchResult] = {}
     trees: dict[str, SparseMerkleTree] = {}
     order = [TWO_PHASE, OBU]
-    for run in range(config.runs + 1):
+    for run in range(runs + 1):
         for engine in order:
             tree = base.clone()
             gc.disable()
@@ -256,51 +223,30 @@ def _bench_point(
                 times[engine].append(elapsed)
             results[engine], trees[engine] = result, tree
         order.reverse()
-    _check_roots_agree(results)
+    if len({result.new_root for result in results.values()}) > 1:
+        raise RuntimeError(
+            "engine roots diverged: "
+            + ", ".join(f"{name}={r.new_root.hex()}" for name, r in results.items())
+        )
     means = {engine: statistics.fmean(walls) for engine, walls in times.items()}
     pct = percent_decrease(means[TWO_PHASE], means[OBU])
     for engine, walls in times.items():
         result = results[engine]
-        for run, wall in enumerate(walls, start=1):
-            report.rows.append(
-                RunRecord(
-                    report.workload, k, config.depth, engine, run,
-                    wall, result.counters.node_visits,
-                    result.counters.hash_invocations, result.new_root.hex(),
-                )
-            )
+        outcome = (
+            result.counters.node_visits, result.counters.hash_invocations, result.new_root.hex()
+        )
+        point = (report.workload, k, depth, engine)
+        report.rows.extend(
+            RunRecord(*point, run, wall, *outcome) for run, wall in enumerate(walls, start=1)
+        )
         report.aggregates.append(
-            _aggregate(
-                report.workload, k, config.depth, engine, walls, result,
-                pct if engine == OBU else None,
+            AggregateRecord(
+                *point, len(walls), means[engine], statistics.median(walls),
+                statistics.stdev(walls) if len(walls) > 1 else 0.0,
+                *outcome, pct if engine == OBU else None,
             )
         )
     return means, pct, trees[OBU]
-
-
-def _aggregate(
-    workload: str,
-    k: int,
-    depth: int,
-    engine: str,
-    times: list[int],
-    result: BatchResult,
-    pct: float | None,
-) -> AggregateRecord:
-    return AggregateRecord(
-        workload=workload,
-        k=k,
-        depth=depth,
-        engine=engine,
-        runs=len(times),
-        mean_nanos=statistics.fmean(times),
-        median_nanos=statistics.median(times),
-        stddev_nanos=statistics.stdev(times) if len(times) > 1 else 0.0,
-        node_visits=result.counters.node_visits,
-        hash_invocations=result.counters.hash_invocations,
-        root_hex=result.new_root.hex(),
-        percent_decrease=pct,
-    )
 
 
 def _micro_ops(workload: str, k: int, depth: int, seed: int) -> tuple[list[LeafOperation], bool]:
@@ -309,40 +255,36 @@ def _micro_ops(workload: str, k: int, depth: int, seed: int) -> tuple[list[LeafO
         return gen_sequential_ops(OP_UPDATE, k, depth=depth, seed=seed), True
     if workload == "rand-update":
         return gen_uniform_updates(k, seed, depth=depth), True
-    if workload == "seq-insert":
-        return gen_sequential_ops(OP_INSERT, k, depth=depth, seed=seed), False
-    raise BenchConfigError(f"unknown micro workload {workload!r}")
+    return gen_sequential_ops(OP_INSERT, k, depth=depth, seed=seed), False  # seq-insert
 
 
-def run_micro(config: BenchConfig) -> BenchReport:
-    """Sweep k over the configured micro workload, timing each engine from
-    identical pre-populated snapshots."""
-    config.validate()
-    if config.micro_workload is None:
-        raise BenchConfigError("micro benchmark needs a workload")
-    report = BenchReport(
-        kind="micro",
-        workload=config.micro_workload,
-        environment=_environment_note(),
-    )
+def run_micro(
+    workload: str,
+    k_sweep: tuple[int, ...] = (10, 100, 1000),
+    *,
+    depth: int = 24,
+    runs: int = 10,
+    seed: int = 2024,
+) -> BenchReport:
+    """Sweep k over one micro workload, timing each engine from identical
+    pre-populated snapshots."""
+    _check_sizes(depth, runs)
+    if any(k < 0 for k in k_sweep):
+        raise BenchConfigError("k values must be non-negative")
+    if max(k_sweep, default=0) > MAX_BATCH_OPS:
+        raise BenchConfigError(f"k {max(k_sweep)} exceeds MAX_BATCH_OPS={MAX_BATCH_OPS}")
+    if workload not in MICRO_WORKLOADS:
+        raise BenchConfigError(f"unknown micro workload {workload!r}")
+    report = BenchReport(kind="micro", workload=workload, environment=_environment_note())
     pct_by_k = {}
-    for k in config.k_sweep:
-        ops, needs_population = _micro_ops(config.micro_workload, k, config.depth, config.seed)
-        base = gen(config.depth)
+    for k in k_sweep:
+        ops, needs_population = _micro_ops(workload, k, depth, seed)
+        base = gen(depth)
         if needs_population and ops:
-            batch_update(base, setup_inserts(ops, seed=config.seed + 1))
-        _, pct_by_k[k], _ = _bench_point(report, config, k, base, ops)
+            batch_update(base, setup_inserts(ops, seed=seed + 1))
+        _, pct_by_k[k], _ = _bench_point(report, depth, runs, k, base, ops)
     report.stats = {"percent_decrease_by_k": pct_by_k}
     return report
-
-
-def _check_roots_agree(results: dict[str, BatchResult]) -> None:
-    roots = {result.new_root for result in results.values()}
-    if len(roots) > 1:
-        raise RuntimeError(
-            "engine roots diverged: "
-            + ", ".join(f"{name}={r.new_root.hex()}" for name, r in results.items())
-        )
 
 
 def _summary_stats(values: list[float]) -> dict[str, float]:
@@ -359,35 +301,32 @@ def _summary_stats(values: list[float]) -> dict[str, float]:
     }
 
 
-def run_macro(config: BenchConfig) -> BenchReport:
-    """Replay a block trace: time both engines per block from identical
+def run_macro(
+    trace_path: str | Path, filter_mode: str = "all", *, depth: int = 24, runs: int = 10
+) -> BenchReport:
+    """Replay a block trace, every transaction (`all`) or only transfers and
+    swaps (`transfer-swap`): time both engines per block from identical
     pre-block snapshots, then report per-block and aggregate statistics."""
-    config.validate()
-    if config.trace_path is None:
-        raise BenchConfigError("macro benchmark needs a trace path")
-    blocks = parse_block_trace(config.trace_path)
-    if config.filter_mode == "transfer-swap":
+    _check_sizes(depth, runs)
+    if filter_mode not in FILTER_MODES:
+        raise BenchConfigError(f"unknown filter mode {filter_mode!r}")
+    blocks = parse_block_trace(trace_path)
+    if filter_mode == "transfer-swap":
         blocks = filter_transfer_swap(blocks)
         if not blocks:
             raise BenchConfigError("filter removed every transaction from the trace")
     report = BenchReport(
-        kind="macro", workload=f"macro-{config.filter_mode}",
-        environment=_environment_note(),
+        kind="macro", workload=f"macro-{filter_mode}", environment=_environment_note()
     )
 
     book = build_preseed_book(blocks)
-    tree = gen(config.depth)
-    seed_ops = [
-        LeafOperation.insert(account.account_id, encode_account(account))
-        for account in sorted(book.accounts.values(), key=lambda a: a.account_id)
-    ]
-    if seed_ops:
-        batch_update(tree, seed_ops)
+    tree = gen(depth)
+    tree.commit({index: encode_account(account) for index, account in book.accounts.items()})
 
     percents: list[float] = []
     reductions_ns: list[float] = []
     for block, ops in replay_blocks(blocks, book):
-        means, pct, tree = _bench_point(report, config, block.block_number, tree, ops)
+        means, pct, tree = _bench_point(report, depth, runs, block.block_number, tree, ops)
         percents.append(pct)
         reductions_ns.append(means[TWO_PHASE] - means[OBU])
 

@@ -12,8 +12,7 @@ import argparse
 import sys
 
 from .bench import (
-    BenchConfig,
-    BenchConfigError,
+    FILTER_MODES,
     FIXTURE_KINDS,
     MICRO_WORKLOADS,
     aggregate_path,
@@ -23,7 +22,6 @@ from .bench import (
     stats_path,
 )
 from .smt_core import SmtError
-from .workload import TraceParseError, TraceValidationError
 
 
 def _parse_k_sweep(raw: str) -> tuple[int, ...]:
@@ -39,7 +37,6 @@ def _parse_k_sweep(raw: str) -> tuple[int, ...]:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--depth", type=int, default=24, help="tree depth (default 24)")
     sub.add_argument("--runs", type=int, default=10, help="timed runs per engine (default 10)")
-    sub.add_argument("--seed", type=int, default=2024, help="workload seed")
     sub.add_argument("--out", required=True, help="per-run CSV path; aggregate CSV lands beside it")
 
 
@@ -51,12 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     micro.add_argument("--workload", choices=MICRO_WORKLOADS, required=True)
     micro.add_argument("--k-sweep", type=_parse_k_sweep, default=(10, 100, 1000),
                        help="comma-separated batch sizes (default 10,100,1000)")
+    micro.add_argument("--seed", type=int, default=2024, help="workload seed (default 2024)")
     _add_common(micro)
     micro.set_defaults(func=_cmd_micro)
 
     macro = subs.add_parser("macro", help="block-trace replay benchmark")
     macro.add_argument("--trace", required=True, help="trace JSON path")
-    macro.add_argument("--filter", choices=["all", "transfer-swap"], default="all",
+    macro.add_argument("--filter", choices=FILTER_MODES, default="all",
                        help="replay every transaction or only transfers/swaps")
     _add_common(macro)
     macro.set_defaults(func=_cmd_macro)
@@ -78,11 +76,9 @@ def _write_report(report, out: str) -> None:
 
 
 def _cmd_micro(args: argparse.Namespace) -> int:
-    config = BenchConfig(
-        depth=args.depth, runs=args.runs,
-        seed=args.seed, micro_workload=args.workload, k_sweep=args.k_sweep,
+    report = run_micro(
+        args.workload, args.k_sweep, depth=args.depth, runs=args.runs, seed=args.seed
     )
-    report = run_micro(config)
     _write_report(report, args.out)
     for k, pct in report.stats.get("percent_decrease_by_k", {}).items():
         print(f"k={k}: percent_decrease={pct:+.2f}%")
@@ -90,11 +86,7 @@ def _cmd_micro(args: argparse.Namespace) -> int:
 
 
 def _cmd_macro(args: argparse.Namespace) -> int:
-    config = BenchConfig(
-        depth=args.depth, runs=args.runs,
-        seed=args.seed, trace_path=args.trace, filter_mode=args.filter,
-    )
-    report = run_macro(config)
+    report = run_macro(args.trace, args.filter, depth=args.depth, runs=args.runs)
     _write_report(report, args.out)
     report.write_stats_json(stats_path(args.out))
     print(f"wrote {stats_path(args.out)}")
@@ -123,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (BenchConfigError, TraceParseError, TraceValidationError, SmtError, ValueError) as exc:
+    except (SmtError, ValueError) as exc:  # every bench and trace error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -72,6 +72,12 @@ class OpKind(Enum):
 OP_INSERT, OP_UPDATE, OP_REMOVE = OpKind.INSERT, OpKind.UPDATE, OpKind.REMOVE
 
 
+def _check_index_type(index: object) -> None:
+    """A leaf index is an int; a bool is not one, though Python counts it as an int."""
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise TypeError(f"index must be an int, got {type(index).__name__}")
+
+
 class FrozenValue:
     """Base of the library's immutable `__slots__` value classes: equal,
     hashable, printable and picklable by the values of their slots, in slot
@@ -124,8 +130,7 @@ class LeafOperation(FrozenValue):
     def __init__(self, kind: OpKind, index: int, value: bytes | None = None) -> None:
         # Checked here so no engine can fail mid-batch on a mistyped op, past
         # the reach of its rollback.
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise TypeError(f"index must be an int, got {type(index).__name__}")
+        _check_index_type(index)
         if kind is OP_REMOVE:
             if value is not None:
                 raise ValueError("remove carries no value")
@@ -182,9 +187,6 @@ class SparseMerkleTree:
     def capacity(self) -> int:
         return 1 << self.depth
 
-    def leaf_heap_index(self, index: int) -> int:
-        return self.capacity + index
-
     def check_range(self, index: int) -> None:
         if not 0 <= index < self.capacity:
             raise LeafRangeError(
@@ -219,6 +221,7 @@ class SparseMerkleTree:
     def member_witness_create(self, index: int) -> Witness:
         """Sibling path for a leaf slot, present or absent; pruned siblings
         resolve to their level defaults."""
+        _check_index_type(index)
         self.check_range(index)
         get, node = self.cache.get, self.capacity + index
         siblings = []
@@ -375,5 +378,5 @@ def check_consistency(tree: SparseMerkleTree) -> None:
             if leaf not in tree.leaf_values:
                 raise ConsistencyError(f"leaf digest cached for absent leaf {leaf}")
     for leaf, value in tree.leaf_values.items():
-        if tree.cache.get(tree.leaf_heap_index(leaf)) != hash_leaf(tree.scheme, value):
+        if tree.cache.get(tree.capacity + leaf) != hash_leaf(tree.scheme, value):
             raise ConsistencyError(f"leaf {leaf} digest missing or stale")

@@ -16,7 +16,6 @@ from smtbench.batch import batch_update, two_phase_update
 from smtbench.bench import (
     AGGREGATE_COLUMNS,
     RUN_COLUMNS,
-    BenchConfig,
     run_macro,
     run_micro,
 )
@@ -223,13 +222,12 @@ def test_c08_macro_trend_hot_and_dispersed(tmp_path, repo_root):
     roots regardless of sign."""
     started = time.monotonic()
     hot = repo_root / "traces" / "hot_account.json"
-    config = BenchConfig(trace_path=hot, runs=10)
-    hot_report = run_macro(config)
+    hot_report = run_macro(hot, runs=10)
     hot_mean = hot_report.stats["percent_decrease"]["mean"]
     assert hot_mean > 0.0, f"hot-account mean percent_decrease {hot_mean:+.2f}%"
 
     dispersed = repo_root / "traces" / "dispersed.json"
-    disp_report = run_macro(BenchConfig(trace_path=dispersed, runs=10))
+    disp_report = run_macro(dispersed, runs=10)
     disp_mean = disp_report.stats["percent_decrease"]["mean"]
     for report_obj in (hot_report, disp_report):
         for block in {row.k for row in report_obj.rows}:
@@ -248,10 +246,7 @@ def test_c09_single_thread_parity_report():
     """Sequential-update sweep, k=1000, one thread, depth 24: the report is
     generated with equal roots and the measured percent recorded; no bound
     is asserted on the value itself."""
-    config = BenchConfig(
-        micro_workload="seq-update", k_sweep=(1000,), depth=24, runs=10, seed=42
-    )
-    bench_report = run_micro(config)
+    bench_report = run_micro("seq-update", (1000,), depth=24, runs=10, seed=42)
     roots = {row.root_hex for row in bench_report.rows}
     assert len(roots) == 1
     measured = bench_report.stats["percent_decrease_by_k"][1000]

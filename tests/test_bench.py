@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,6 @@ from smtbench.bench import (
     SCHEMA_VERSION,
     MAX_BATCH_OPS,
     MAX_RUNS,
-    BenchConfig,
     BenchConfigError,
     UndefinedMetricError,
     aggregate_path,
@@ -52,32 +52,50 @@ def test_percent_decrease_rejects_zero_baseline():
 # -- config validation -----------------------------------------------------------
 
 
-def test_config_rejects_bad_values():
-    with pytest.raises(BenchConfigError):
-        BenchConfig(runs=0).validate()
-    with pytest.raises(BenchConfigError):
-        BenchConfig(k_sweep=(-1,)).validate()
-    with pytest.raises(BenchConfigError):
-        BenchConfig(filter_mode="swap-only").validate()
-    with pytest.raises(BenchConfigError):
-        BenchConfig(micro_workload="hot-loop").validate()
-    with pytest.raises(BenchConfigError):
-        run_micro(BenchConfig())  # no workload chosen
-    with pytest.raises(BenchConfigError):
-        run_macro(BenchConfig())  # no trace path
-    # Size bounds, by validation alone: a config at a bound passes, one past
-    # it names the bound.
-    BenchConfig(micro_workload="rand-update", depth=MAX_DEPTH,
-                k_sweep=(0, MAX_BATCH_OPS), runs=MAX_RUNS).validate()
-    for config, bound in [
-        (BenchConfig(micro_workload="rand-update", k_sweep=(10**9,), runs=10**7), "MAX_RUNS=1000"),
-        (BenchConfig(k_sweep=(10, MAX_BATCH_OPS + 1)), f"k {MAX_BATCH_OPS + 1} exceeds MAX_BATCH_OPS"),
-        (BenchConfig(runs=MAX_RUNS + 1), "MAX_RUNS"),
-        (BenchConfig(depth=MAX_DEPTH + 1), "MAX_DEPTH"),
-        (BenchConfig(depth=0), "MAX_DEPTH"),
+def test_config_rejects_bad_values(tmp_path, monkeypatch):
+    # Every check runs before the trace is read or a workload is built.
+    def allocates(*args, **kwargs):
+        raise AssertionError("read a trace or built a workload past a check")
+
+    monkeypatch.setattr(bench, "_micro_ops", allocates)
+    monkeypatch.setattr(bench, "parse_block_trace", allocates)
+    trace = tmp_path / "unread.json"
+    for call, message in [
+        (lambda: run_micro("rand-update", runs=0), "MAX_RUNS"),
+        (lambda: run_micro("rand-update", (-1,)), "k values must be non-negative"),
+        (lambda: run_micro("hot-loop"), "unknown micro workload 'hot-loop'"),
+        (lambda: run_macro(trace, "swap-only"), "unknown filter mode 'swap-only'"),
+        (lambda: run_macro(trace, runs=0), "MAX_RUNS"),
+        # Size bounds: one past a bound names it.
+        (lambda: run_micro("rand-update", (10**9,), runs=10**7), "MAX_RUNS=1000"),
+        (lambda: run_micro("rand-update", (10, MAX_BATCH_OPS + 1)),
+         f"k {MAX_BATCH_OPS + 1} exceeds MAX_BATCH_OPS"),
+        (lambda: run_micro("rand-update", runs=MAX_RUNS + 1), "MAX_RUNS"),
+        (lambda: run_micro("rand-update", depth=MAX_DEPTH + 1), "MAX_DEPTH"),
+        (lambda: run_micro("rand-update", depth=0), "MAX_DEPTH"),
+        (lambda: run_macro(trace, runs=MAX_RUNS + 1), "MAX_RUNS"),
+        (lambda: run_macro(trace, depth=MAX_DEPTH + 1), "MAX_DEPTH"),
+        (lambda: run_macro(trace, depth=0), "MAX_DEPTH"),
     ]:
-        with pytest.raises(BenchConfigError, match=bound):
-            config.validate()
+        with pytest.raises(BenchConfigError, match=message):
+            call()
+
+
+class Reached(Exception):
+    """Raised in place of building a workload or reading a trace."""
+
+
+def test_config_at_the_bounds_passes(tmp_path, monkeypatch):
+    # A run at every bound passes the checks and reaches its workload.
+    def reached(*args, **kwargs):
+        raise Reached(args)
+
+    monkeypatch.setattr(bench, "_micro_ops", reached)
+    monkeypatch.setattr(bench, "parse_block_trace", reached)
+    with pytest.raises(Reached, match=f"'rand-update', {MAX_BATCH_OPS}, {MAX_DEPTH}"):
+        run_micro("rand-update", (MAX_BATCH_OPS, 0), depth=MAX_DEPTH, runs=MAX_RUNS)
+    with pytest.raises(Reached):
+        run_macro(tmp_path / "unread.json", "transfer-swap", depth=MAX_DEPTH, runs=MAX_RUNS)
 
 
 # -- micro runner ------------------------------------------------------------------
@@ -85,10 +103,7 @@ def test_config_rejects_bad_values():
 
 @pytest.fixture(scope="module")
 def micro_report():
-    config = BenchConfig(
-        micro_workload="seq-update", k_sweep=(4, 16), depth=8, runs=3, seed=5
-    )
-    return run_micro(config)
+    return run_micro("seq-update", (4, 16), depth=8, runs=3, seed=5)
 
 
 def test_micro_report_shape(micro_report):
@@ -160,9 +175,7 @@ def test_engines_alternate_in_pairs_with_gc_off(monkeypatch):
 
     stubs = {name: recording(name, engine) for name, engine in bench.ENGINES.items()}
     monkeypatch.setattr(bench, "ENGINES", stubs)
-    report = run_micro(
-        BenchConfig(micro_workload="seq-update", k_sweep=(4,), depth=6, runs=3)
-    )
+    report = run_micro("seq-update", (4,), depth=6, runs=3)
     pairs = [(TWO_PHASE, OBU), (OBU, TWO_PHASE)] * 2
     assert calls == [(name, False) for pair in pairs for name in pair]
     assert gc.isenabled()
@@ -175,7 +188,7 @@ def test_engines_alternate_in_pairs_with_gc_off(monkeypatch):
 def test_bench_point_leaves_gc_as_the_caller_had_it():
     gc.disable()
     try:
-        run_micro(BenchConfig(depth=8, runs=1, micro_workload="rand-update", k_sweep=(4,)))
+        run_micro("rand-update", (4,), depth=8, runs=1)
         assert not gc.isenabled()
     finally:
         gc.enable()
@@ -201,12 +214,44 @@ def test_environment_note_outside_a_checkout(tmp_path):
 
 def test_micro_rand_update_and_insert_workloads_run():
     for workload in ("rand-update", "seq-insert"):
-        config = BenchConfig(
-            micro_workload=workload, k_sweep=(6,), depth=8, runs=2, seed=3
-        )
-        report = run_micro(config)
+        report = run_micro(workload, (6,), depth=8, runs=2, seed=3)
         roots = {row.root_hex for row in report.rows}
         assert len(roots) == 1
+
+
+# -- report contract ---------------------------------------------------------------
+
+# Every column that is not a wall time or derived from one; fixed seeds give
+# these the same bytes on every run.
+TIMING_COLUMNS = {"wall_nanos", "mean_nanos", "median_nanos", "stddev_nanos", "percent_decrease"}
+
+
+def non_timing_digest(report, tmp_path):
+    """SHA-256 of both of `report`'s CSVs with the timing columns left out."""
+    out = tmp_path / "report.csv"
+    report.write_runs_csv(out)
+    report.write_aggregates_csv(aggregate_path(out))
+    digest = hashlib.sha256()
+    for path in (out, aggregate_path(out)):
+        header, *rows = read_csv(path)
+        keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
+        for row in [header, *rows]:
+            digest.update((",".join(row[i] for i in keep) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_micro_report_non_timing_columns_are_pinned(tmp_path):
+    report = run_micro("rand-update", (0, 1, 2, 100), depth=16, runs=2, seed=7)
+    assert non_timing_digest(report, tmp_path) == (
+        "ef020bd0374f773f8c970aaaba47bb6a03993f10db36c88357661b4eeba49ea1"
+    )
+
+
+def test_macro_report_non_timing_columns_are_pinned(tmp_path, repo_root):
+    report = run_macro(repo_root / "traces" / "hot_account.json", runs=2)
+    assert non_timing_digest(report, tmp_path) == (
+        "b82e430a8618474c11b08f206b8ed64db7b412003e801a6f786327b5c6dc17d2"
+    )
 
 
 # -- macro runner ---------------------------------------------------------------------
@@ -220,8 +265,7 @@ def small_trace(tmp_path_factory):
 
 
 def test_macro_report_shape(small_trace):
-    config = BenchConfig(trace_path=small_trace, depth=10, runs=2)
-    report = run_macro(config)
+    report = run_macro(small_trace, depth=10, runs=2)
     assert report.stats["blocks"] == 4
     # per block: 2 engines x 2 runs
     assert len(report.rows) == 4 * 2 * 2
@@ -234,8 +278,7 @@ def test_macro_report_shape(small_trace):
 
 
 def test_macro_roots_agree_per_block(small_trace):
-    config = BenchConfig(trace_path=small_trace, depth=10, runs=2)
-    report = run_macro(config)
+    report = run_macro(small_trace, depth=10, runs=2)
     for block in (1, 2, 3, 4):
         roots = {row.root_hex for row in report.rows if row.k == block}
         assert len(roots) == 1
@@ -244,10 +287,7 @@ def test_macro_roots_agree_per_block(small_trace):
 
 
 def test_macro_filter_mode(small_trace, tmp_path):
-    config = BenchConfig(
-        trace_path=small_trace, depth=10, runs=1, filter_mode="transfer-swap"
-    )
-    report = run_macro(config)
+    report = run_macro(small_trace, "transfer-swap", depth=10, runs=1)
     assert report.workload == "macro-transfer-swap"
     out = tmp_path / "macro.csv"
     report.write_stats_json(stats_path(out))
@@ -270,7 +310,7 @@ def test_macro_clones_only_for_timed_runs(small_trace, monkeypatch):
         return clone(tree)
 
     monkeypatch.setattr(SparseMerkleTree, "clone", counting_clone)
-    report = run_macro(BenchConfig(trace_path=small_trace, depth=10, runs=2))
+    report = run_macro(small_trace, depth=10, runs=2)
     assert report.stats["blocks"] == 4
     assert len(clones) == 4 * 2 * (2 + 1)
 
@@ -281,7 +321,7 @@ def test_macro_rejects_trace_without_transfers(tmp_path):
     path = tmp_path / "cpk.json"
     write_block_traces([BlockTrace(1, (TxRecord(TxType.CHANGE_PUBKEY, 1, None, 0, 0),))], path)
     with pytest.raises(BenchConfigError):
-        run_macro(BenchConfig(trace_path=path, filter_mode="transfer-swap", runs=1))
+        run_macro(path, "transfer-swap", runs=1)
 
 
 # -- fixture generation -----------------------------------------------------------------

@@ -107,6 +107,8 @@ def test_bad_k_sweep_exits_one(tmp_path):
         (["micro", "--workload", "rand-update", "--k-sweep", "1000000000"], "MAX_BATCH_OPS"),
         (["micro", "--workload", "rand-update", "--runs", "10000000"], "MAX_RUNS"),
         (["micro", "--workload", "seq-update", "--depth", "1000000000000"], "MAX_DEPTH"),
+        (["macro", "--trace", "traces/hot_account.json", "--runs", "10000000"], "MAX_RUNS"),
+        (["macro", "--trace", "traces/hot_account.json", "--depth", "0"], "MAX_DEPTH"),
     ],
 )
 def test_oversized_values_exit_one_before_allocating(tmp_path, capsys, monkeypatch, args, bound):
@@ -114,6 +116,7 @@ def test_oversized_values_exit_one_before_allocating(tmp_path, capsys, monkeypat
         raise AssertionError("built a workload past a size bound")
 
     monkeypatch.setattr(bench, "_micro_ops", allocates)
+    monkeypatch.setattr(bench, "parse_block_trace", allocates)
     out = tmp_path / "x.out"
     assert main([*args, "--out", str(out)]) == 1
     assert bound in capsys.readouterr().err
@@ -139,6 +142,17 @@ def test_engine_option_is_rejected(tmp_path, capsys):
     ]) == 1
     assert "unrecognized arguments: --engine obu" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_macro_rejects_seed(tmp_path, capsys, repo_root):
+    # A trace replays the same whatever the seed; only micro takes one.
+    out = tmp_path / "x.csv"
+    assert main([
+        "macro", "--trace", str(repo_root / "traces" / "hot_account.json"),
+        "--seed", "1", "--out", str(out),
+    ]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_zero():

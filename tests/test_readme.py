@@ -1,5 +1,7 @@
 import re
 
+from smtbench.bench import AGGREGATE_COLUMNS, RUN_COLUMNS
+
 
 def test_library_quick_start_runs(repo_root, capsys):
     readme = (repo_root / "README.md").read_text()
@@ -8,3 +10,10 @@ def test_library_quick_start_runs(repo_root, capsys):
     root_hex, counters = capsys.readouterr().out.split(" ", 1)
     assert len(bytes.fromhex(root_hex)) == 32
     assert counters.startswith("CounterSet(")
+
+
+def test_readme_csv_headers_are_the_record_fields(repo_root):
+    # The per-run CSV's header, then the aggregate CSV's.
+    readme = (repo_root / "README.md").read_text()
+    headers = re.findall(r"with columns\n\n```\n(.*?)\n```", readme)
+    assert headers == [",".join(RUN_COLUMNS), ",".join(AGGREGATE_COLUMNS)]

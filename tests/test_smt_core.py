@@ -109,9 +109,9 @@ def test_obu_insert_writes_one_leaf_key_and_its_path():
 def test_update_identical_value_keeps_root():
     tree = build(4, {5: b"x"})
     root = tree.root()
-    digest = tree.cache[tree.leaf_heap_index(5)]
+    digest = tree.cache[tree.capacity + 5]
     batch_update(tree, [LeafOperation.update(5, b"x")])
-    assert tree.cache[tree.leaf_heap_index(5)] == digest
+    assert tree.cache[tree.capacity + 5] == digest
     assert tree.root() == root
 
 
@@ -183,6 +183,15 @@ def test_empty_tree_witness_is_default_chain():
 def test_witness_out_of_range():
     with pytest.raises(LeafRangeError):
         gen(3).member_witness_create(8)
+
+
+def test_witness_rejects_a_non_int_index():
+    # The rule LeafOperation applies: a bool is not an index, though Python
+    # counts it as an int, and a float fails with the same message.
+    tree = build(3, {1: b"x"})
+    for index in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match=f"index must be an int, got {type(index).__name__}"):
+            tree.member_witness_create(index)
 
 
 def test_pruned_tree_membership_structure():
