@@ -105,7 +105,7 @@ class AggregateRecord:
     node_visits: int
     hash_invocations: int
     root_hex: str
-    percent_decrease: float | None  # populated on the OBU row only
+    percent_decrease: float | None  # on the OBU row of a non-empty batch only
 
 
 # Each CSV's columns are its record's fields, in order.
@@ -197,12 +197,12 @@ def _bench_point(
     k: int,
     base: SparseMerkleTree,
     ops: list[LeafOperation],
-) -> tuple[dict[str, float], float, SparseMerkleTree]:
-    """Time both engines on `ops` from clones of `base`, in pairs that
-    alternate which engine goes first, after an untimed warm-up pair, with GC
-    off inside each call and left as the caller had it after. Appends the run
-    rows and aggregates to `report` and returns each engine's mean wall time,
-    the percent decrease, and the tree `obu` left."""
+) -> tuple[dict[str, float], float | None, SparseMerkleTree]:
+    """Time both engines on `ops` from clones of `base`, in alternating pairs
+    after an untimed warm-up pair, GC off in each call and as the caller had
+    it after. Appends the run rows and aggregates to `report`; returns each
+    engine's mean wall time, the percent decrease (None for an empty batch:
+    two call overheads are no speed-up), and the tree `obu` left."""
     gc_was_enabled = gc.isenabled()
     times: dict[str, list[int]] = {TWO_PHASE: [], OBU: []}
     results: dict[str, BatchResult] = {}
@@ -229,7 +229,7 @@ def _bench_point(
             + ", ".join(f"{name}={r.new_root.hex()}" for name, r in results.items())
         )
     means = {engine: statistics.fmean(walls) for engine, walls in times.items()}
-    pct = percent_decrease(means[TWO_PHASE], means[OBU])
+    pct = percent_decrease(means[TWO_PHASE], means[OBU]) if ops else None
     for engine, walls in times.items():
         result = results[engine]
         outcome = (
@@ -288,13 +288,12 @@ def run_micro(
 
 
 def _summary_stats(values: list[float]) -> dict[str, float]:
-    spread = statistics.stdev(values) if len(values) > 1 else 0.0
-    var = statistics.variance(values) if len(values) > 1 else 0.0
+    many = len(values) > 1
     return {
         "mean": statistics.fmean(values),
         "median": statistics.median(values),
-        "stddev": spread,
-        "variance": var,
+        "stddev": statistics.stdev(values) if many else 0.0,
+        "variance": statistics.variance(values) if many else 0.0,
         "min": min(values),
         "max": max(values),
         "range": max(values) - min(values),

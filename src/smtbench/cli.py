@@ -81,7 +81,7 @@ def _cmd_micro(args: argparse.Namespace) -> int:
     )
     _write_report(report, args.out)
     for k, pct in report.stats.get("percent_decrease_by_k", {}).items():
-        print(f"k={k}: percent_decrease={pct:+.2f}%")
+        print(f"k={k}: percent_decrease={'n/a' if pct is None else f'{pct:+.2f}%'}")
     return 0
 
 

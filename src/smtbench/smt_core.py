@@ -72,9 +72,13 @@ class OpKind(Enum):
 OP_INSERT, OP_UPDATE, OP_REMOVE = OpKind.INSERT, OpKind.UPDATE, OpKind.REMOVE
 
 
-def _check_index_type(index: object) -> None:
+def _is_index(index: object) -> bool:
     """A leaf index is an int; a bool is not one, though Python counts it as an int."""
-    if not isinstance(index, int) or isinstance(index, bool):
+    return isinstance(index, int) and not isinstance(index, bool)
+
+
+def _check_index_type(index: object) -> None:
+    if not _is_index(index):
         raise TypeError(f"index must be an int, got {type(index).__name__}")
 
 
@@ -212,10 +216,8 @@ class SparseMerkleTree:
         ops = []
         for index in sorted(entries):
             self.check_range(index)
-            if index in self.leaf_values:
-                ops.append(LeafOperation.update(index, entries[index]))
-            else:
-                ops.append(LeafOperation.insert(index, entries[index]))
+            kind = OP_UPDATE if index in self.leaf_values else OP_INSERT
+            ops.append(LeafOperation(kind, index, entries[index]))
         return batch_update(self, ops).new_root
 
     def member_witness_create(self, index: int) -> Witness:
@@ -312,8 +314,7 @@ def member_verify(
     """
     index, siblings = witness.leaf_index, witness.siblings
     if (
-        not isinstance(index, int)
-        or isinstance(index, bool)
+        not _is_index(index)
         or not 0 <= index < 1 << depth
         or not isinstance(siblings, (tuple, list))
         or len(siblings) != depth

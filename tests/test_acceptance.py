@@ -112,7 +112,7 @@ def test_c03_hash_work_equality_with_ancestor_oracle():
 
 def test_c04_hot_account_dedup():
     """k operations on one leaf: one-phase hash work stays 1 + depth for any
-    k; the baseline still pays k*depth traversal visits."""
+    k; the one-phase leaf phase visits k nodes, the baseline k*depth."""
     depth = 24
     tree = populated(depth, {12345: b"hot"})
     for k in (1, 48, 1000):
@@ -122,13 +122,15 @@ def test_c04_hot_account_dedup():
         r_two = two_phase_update(tree.clone(), ops)
         assert r_obu.counters.hash_invocations == 1 + depth, f"k={k}"
         assert r_two.counters.hash_invocations == 1 + depth, f"k={k}"
+        assert r_obu.counters.leaf_phase_visits == k, f"k={k}"
         assert r_two.counters.leaf_phase_visits == k * depth, f"k={k}"
     report("C4", "hash work 1+24 for k in {1,48,1000} on one leaf")
 
 
 def test_c05_worked_example_schedule():
     """Depth-2 batch on leaves {0,3,1}: sweep schedule is exactly
-    [{4,5,7},{2,3},{1}] and the root matches the oracle."""
+    [{4,5,7},{2,3},{1}], six hashes (3 leaves, nodes 2, 3 and 1), and the
+    root matches the oracle."""
     initial = {0: b"a", 1: b"b", 3: b"c"}
     tree = populated(2, initial)
     ops = [
@@ -138,6 +140,7 @@ def test_c05_worked_example_schedule():
     ]
     result = batch_update(tree, ops)
     assert result.level_work_lists == [[4, 5, 7], [2, 3], [1]]
+    assert result.counters.hash_invocations == 6
     assert result.new_root == naive_root(2, final_leaves(initial, ops))
     report("C5", "work lists [{4,5,7},{2,3},{1}] with oracle-equal root")
 

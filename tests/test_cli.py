@@ -48,13 +48,6 @@ def test_macro_subcommand(tmp_path, repo_root):
     assert "percent_decrease" in proc.stdout
 
 
-def test_gen_fixture_subcommand_matches_bundled(tmp_path, repo_root):
-    out = tmp_path / "hot.json"
-    proc = run_cli("gen-fixture", "--kind", "hot", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == (repo_root / "traces" / "hot_account.json").read_bytes()
-
-
 @pytest.mark.parametrize("kind", ["synthetic100", "hot", "dispersed"])
 @pytest.mark.parametrize(
     "flags", [["--seed", "9"], ["--k", "5"], ["--blocks", "3"], ["--k", "1000000", "--blocks", "1000000"]]
@@ -123,35 +116,22 @@ def test_oversized_values_exit_one_before_allocating(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-def test_threads_option_is_rejected(tmp_path, capsys):
-    # The engines run on one thread; the old knob is now a usage error.
-    assert main([
-        "micro", "--workload", "seq-update", "--threads", "1",
-        "--out", str(tmp_path / "x.csv"),
-    ]) == 1
-    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_engine_option_is_rejected(tmp_path, capsys):
-    # Both engines always run, in alternating pairs; the old knob is now a
-    # usage error.
-    assert main([
-        "micro", "--workload", "seq-update", "--engine", "obu",
-        "--out", str(tmp_path / "x.csv"),
-    ]) == 1
-    assert "unrecognized arguments: --engine obu" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_macro_rejects_seed(tmp_path, capsys, repo_root):
-    # A trace replays the same whatever the seed; only micro takes one.
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        # The engines run on one thread.
+        (["micro", "--workload", "seq-update"], ["--threads", "1"]),
+        # Both engines always run, in alternating pairs.
+        (["micro", "--workload", "seq-update"], ["--engine", "obu"]),
+        # A trace replays the same whatever the seed; only micro takes one.
+        (["macro", "--trace", "traces/hot_account.json"], ["--seed", "1"]),
+    ],
+    ids=["threads", "engine", "macro-seed"],
+)
+def test_retired_options_are_usage_errors(tmp_path, capsys, args, flag):
     out = tmp_path / "x.csv"
-    assert main([
-        "macro", "--trace", str(repo_root / "traces" / "hot_account.json"),
-        "--seed", "1", "--out", str(out),
-    ]) == 1
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main([*args, *flag, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
 

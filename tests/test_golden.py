@@ -1,9 +1,9 @@
 """Golden pins on transaction decomposition and the account codec.
 
-Each bundled trace is replayed from its pre-seeded book; the pins are a
-SHA-256 over the op stream (kind, index, payload) and the final root of a
-depth-24 tree built from the same pre-seed. They hold the exact bytes fixed
-across rewrites of the codec and of `tx_to_leaf_ops`.
+Each bundled trace is replayed, under each filter, from its pre-seeded
+book; the pins are a SHA-256 over the op stream (kind, index, payload) and
+the final root of a depth-24 tree built from the same pre-seed. They hold
+the exact bytes fixed across rewrites of the codec and of `tx_to_leaf_ops`.
 """
 
 import hashlib
@@ -60,6 +60,14 @@ def root_after(book: AccountBook, block_ops) -> str:
         ("dispersed.json", False, 1660,
          "d1af40e57ee7eca3509db848b827bf3639130acd2b313a1973a0a055358e29b5",
          "fe65a9da71fca411bfb211b0d96f8fa35c6c937c0ead19321f67c9ca261ee8a1"),
+        # Every transaction in these two traces is a Transfer, so the filter
+        # keeps them whole and the pins equal the unfiltered ones.
+        ("hot_account.json", True, 960,
+         "625234f2d119c5f1c4432bfaf6d3ef4614c92c9727bea622adff0e986ff27d93",
+         "98aaf1fd00137a52207ccb8b4fba27914386b53d3fde6fbeefaf54eafa8d0ffe"),
+        ("dispersed.json", True, 1660,
+         "d1af40e57ee7eca3509db848b827bf3639130acd2b313a1973a0a055358e29b5",
+         "fe65a9da71fca411bfb211b0d96f8fa35c6c937c0ead19321f67c9ca261ee8a1"),
         ("synthetic_100blocks.json", True, 11942,
          "1556c50a97c3cce2689bd328edd35a98e9c503d4663025ae2b30adf1da793b6e",
          "74206f306eabb90dafd21146678c10041d9a92663a115cfd106b7a0c0a2669ba"),
@@ -77,6 +85,7 @@ def test_bundled_trace_op_stream_and_root_pinned(
     book = build_preseed_book(blocks)
     start = book.clone()
     block_ops = [ops for _, ops in replay_blocks(blocks, book)]
+    assert len(block_ops) == len(blocks)
     assert sum(map(len, block_ops)) == op_count
     assert stream_digest(block_ops) == stream
     assert root_after(start, block_ops) == root

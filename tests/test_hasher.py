@@ -37,10 +37,6 @@ def test_hash_leaf_payload_goldens():
     assert hash_leaf(DEFAULT_SCHEME, b"b") == LEAF_B
 
 
-def test_hash_leaf_deterministic():
-    assert hash_leaf(DEFAULT_SCHEME, b"payload") == hash_leaf(DEFAULT_SCHEME, b"payload")
-
-
 def test_one_byte_payload_difference():
     assert hash_leaf(DEFAULT_SCHEME, b"\x00") == LEAF_X00
     assert hash_leaf(DEFAULT_SCHEME, b"\x01") == LEAF_X01
@@ -53,12 +49,6 @@ def test_hash_node_golden_and_order_sensitive():
     assert NODE_AB != NODE_BA
 
 
-def test_hash_node_recomputation_stable():
-    once = hash_node(DEFAULT_SCHEME, LEAF_A, LEAF_B)
-    again = hash_node(DEFAULT_SCHEME, LEAF_A, LEAF_B)
-    assert once == again
-
-
 @pytest.mark.parametrize("left,right", [(b"short", LEAF_B), (LEAF_A, b""), (LEAF_A + b"x", LEAF_B)])
 def test_hash_node_rejects_bad_lengths(left, right):
     with pytest.raises(InvalidDigestError):
@@ -68,14 +58,6 @@ def test_hash_node_rejects_bad_lengths(left, right):
 def test_default_digests_depth_one():
     leaf = hash_leaf(DEFAULT_SCHEME, b"")
     assert default_digests(DEFAULT_SCHEME, 1) == (hash_node(DEFAULT_SCHEME, leaf, leaf), leaf)
-
-
-def test_default_digests_recurrence():
-    table = default_digests(DEFAULT_SCHEME, 12)
-    assert len(table) == 13
-    assert table[12] == EMPTY_LEAF
-    for level in range(12):
-        assert table[level] == hash_node(DEFAULT_SCHEME, table[level + 1], table[level + 1])
 
 
 def test_default_digests_depth24_root_golden():
@@ -114,19 +96,14 @@ def test_domain_separation_on_adversarial_payload():
     assert leaf_of_concat != NODE_AB
 
 
-def test_scheme_rejects_equal_tags():
+@pytest.mark.parametrize(
+    "args",
+    [{"leaf_domain_tag": b"\x02", "node_domain_tag": b"\x02"}, {"scheme_id": "md5"}, {"leaf_domain_tag": b"\x00\x00"}],
+    ids=["equal-tags", "unknown-backend", "multibyte-tag"],
+)
+def test_scheme_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
-        HashScheme(leaf_domain_tag=b"\x02", node_domain_tag=b"\x02")
-
-
-def test_scheme_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        HashScheme(scheme_id="md5")
-
-
-def test_scheme_rejects_multibyte_tags():
-    with pytest.raises(ValueError):
-        HashScheme(leaf_domain_tag=b"\x00\x00")
+        HashScheme(**args)
 
 
 def test_slow_scheme_is_a_distinct_function():

@@ -51,105 +51,57 @@ def kinds(ops):
 # -- transaction decomposition ---------------------------------------------------
 
 
-def test_transfer_decomposition():
+B = 10**9  # funded_book's balance of token 0
+
+
+def acct(index, nonce, balances, pubkey=None):
+    return Account(index, nonce, pubkey or default_pubkey(index), balances)
+
+
+# Each transaction on funded_book(1, 2): its ops' kinds and indices, in step
+# order, and the touched accounts after the ops apply (None: removed).
+DECOMPOSITIONS = [
+    (TxRecord(TxType.TRANSFER, 1, 2, 0, 100), "update update", [1, 2],
+     {1: acct(1, 1, {0: B - 100}), 2: acct(2, 0, {0: B + 100})}),
+    (TxRecord(TxType.TRANSFER_TO_NEW, 1, 7, 0, 10), "update insert", [1, 7],
+     {1: acct(1, 1, {0: B - 10}), 7: acct(7, 0, {0: 10})}),
+    (TxRecord(TxType.WITHDRAW, 1, None, 0, 5), "update", [1], {1: acct(1, 1, {0: B - 5})}),
+    (TxRecord(TxType.CHANGE_PUBKEY, 1, None, 0, 0), "update", [1],
+     {1: acct(1, 1, {0: B}, workload._rotated_pubkey(1, 1))}),
+    # MintNFT: receiver first, then creator; WithdrawNFT: owner, then creator.
+    (TxRecord(TxType.MINT_NFT, 1, 2, 3, 1), "update update", [2, 1],
+     {2: acct(2, 0, {0: B, 3: 1}), 1: acct(1, 1, {0: B})}),
+    (TxRecord(TxType.WITHDRAW_NFT, 1, 2, 0, 1), "update update", [1, 2],
+     {1: acct(1, 1, {0: B - 1}), 2: acct(2, 1, {0: B})}),
+    (TxRecord(TxType.FORCED_EXIT, 1, 2, 0, 0), "update remove", [1, 2],
+     {1: acct(1, 1, {0: B}), 2: None}),
+    (TxRecord(TxType.FULL_EXIT, 1, 2, 0, 0), "update remove", [1, 2],
+     {1: acct(1, 1, {0: B}), 2: None}),
+    (TxRecord(TxType.SWAP, 1, 2, 0, 50), "update update", [1, 2],
+     {1: acct(1, 1, {0: B - 50}), 2: acct(2, 1, {0: B + 50})}),
+    (TxRecord(TxType.DEPOSIT, None, 2, 0, 5), "update", [2], {2: acct(2, 0, {0: B + 5})}),
+    (TxRecord(TxType.DEPOSIT, None, 9, 0, 5), "insert", [9], {9: acct(9, 0, {0: 5})}),
+]
+
+
+@pytest.mark.parametrize(
+    "tx, op_kinds, indices, end",
+    DECOMPOSITIONS,
+    ids=[f"{tx.tx_type.value}-{indices[-1]}" for tx, _, indices, _ in DECOMPOSITIONS],
+)
+def test_decomposition(tx, op_kinds, indices, end):
     book = funded_book(1, 2)
-    ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 100), book)
-    assert kinds(ops) == ["update", "update"]
-    assert [op.index for op in ops] == [1, 2]
+    ops = tx_to_leaf_ops(tx, book)
+    assert kinds(ops) == op_kinds.split()
+    assert [op.index for op in ops] == indices
     apply_leaf_ops(book, ops)
-    assert book.accounts[1].balances[0] == 10**9 - 100
-    assert book.accounts[1].nonce == 1
-    assert book.accounts[2].balances[0] == 10**9 + 100
-    assert book.accounts[2].nonce == 0
-
-
-def test_transfer_to_new_decomposition():
-    book = funded_book(1)
-    ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER_TO_NEW, 1, 7, 0, 10), book)
-    assert kinds(ops) == ["update", "insert"]
-    assert ops[1].index == 7
-    apply_leaf_ops(book, ops)
-    assert book.accounts[7].balances == {0: 10}
+    assert {index: book.accounts.get(index) for index in end} == end
 
 
 def test_transfer_to_new_rejects_existing_target():
     book = funded_book(1, 7)
     with pytest.raises(TraceValidationError):
         tx_to_leaf_ops(TxRecord(TxType.TRANSFER_TO_NEW, 1, 7, 0, 10), book)
-
-
-def test_withdraw_and_change_pubkey_are_single_updates():
-    book = funded_book(1)
-    assert kinds(tx_to_leaf_ops(TxRecord(TxType.WITHDRAW, 1, None, 0, 5), book)) == ["update"]
-    ops = tx_to_leaf_ops(TxRecord(TxType.CHANGE_PUBKEY, 1, None, 0, 0), book)
-    assert kinds(ops) == ["update"]
-    apply_leaf_ops(book, ops)
-    assert book.accounts[1].pubkey_hash != default_pubkey(1)
-
-
-def test_nft_decompositions():
-    book = funded_book(1, 2)
-    mint = tx_to_leaf_ops(TxRecord(TxType.MINT_NFT, 1, 2, 3, 1), book)
-    assert kinds(mint) == ["update", "update"]
-    assert [op.index for op in mint] == [2, 1]  # receiver first, then creator
-    withdraw = tx_to_leaf_ops(TxRecord(TxType.WITHDRAW_NFT, 1, 2, 0, 1), book)
-    assert kinds(withdraw) == ["update", "update"]
-    assert [op.index for op in withdraw] == [1, 2]  # owner first, then creator
-
-
-def test_forced_exit_and_full_exit_remove_target():
-    for tx_type in (TxType.FORCED_EXIT, TxType.FULL_EXIT):
-        book = funded_book(1, 2)
-        ops = tx_to_leaf_ops(TxRecord(tx_type, 1, 2, 0, 0), book)
-        assert kinds(ops) == ["update", "remove"]
-        apply_leaf_ops(book, ops)
-        assert 2 not in book.accounts
-
-
-def test_swap_decomposition_bumps_both_nonces():
-    book = funded_book(1, 2)
-    ops = tx_to_leaf_ops(TxRecord(TxType.SWAP, 1, 2, 0, 50), book)
-    assert kinds(ops) == ["update", "update"]
-    apply_leaf_ops(book, ops)
-    assert book.accounts[1].nonce == 1
-    assert book.accounts[2].nonce == 1
-
-
-def test_deposit_upserts():
-    book = funded_book(2)
-    assert kinds(tx_to_leaf_ops(TxRecord(TxType.DEPOSIT, None, 2, 0, 5), book)) == ["update"]
-    assert kinds(tx_to_leaf_ops(TxRecord(TxType.DEPOSIT, None, 9, 0, 5), book)) == ["insert"]
-
-
-def test_decomposition_lengths_bounded():
-    book = funded_book(1, 2)
-    cases = [
-        TxRecord(TxType.TRANSFER, 1, 2, 0, 1),
-        TxRecord(TxType.TRANSFER_TO_NEW, 1, 9, 0, 1),
-        TxRecord(TxType.WITHDRAW, 1, None, 0, 1),
-        TxRecord(TxType.WITHDRAW_NFT, 1, 2, 0, 1),
-        TxRecord(TxType.MINT_NFT, 1, 2, 0, 1),
-        TxRecord(TxType.CHANGE_PUBKEY, 1, None, 0, 0),
-        TxRecord(TxType.SWAP, 1, 2, 0, 1),
-        TxRecord(TxType.DEPOSIT, None, 2, 0, 1),
-        TxRecord(TxType.DEPOSIT, None, 30, 0, 1),
-        TxRecord(TxType.FORCED_EXIT, 1, 2, 0, 0),
-    ]
-    for tx in cases:
-        ops = tx_to_leaf_ops(tx, funded_book(1, 2))
-        assert 1 <= len(ops) <= 2, tx
-
-
-def test_unresolved_reference_rejected():
-    with pytest.raises(TraceValidationError):
-        tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 1), funded_book(1))
-
-
-def test_tx_record_requires_role_fields():
-    with pytest.raises(TraceValidationError):
-        TxRecord(TxType.TRANSFER, 1, None, 0, 1)
-    with pytest.raises(TraceValidationError):
-        TxRecord(TxType.DEPOSIT, 1, None, 0, 1)
 
 
 @pytest.mark.parametrize("tx_type", list(TxType))
@@ -213,15 +165,6 @@ def test_failed_tx_leaves_the_book_untouched():
             apply(target, tx_to_leaf_ops(tx, target))
     assert book.accounts == reference.accounts
     assert book.accounts[1] == Account(1, 5, default_pubkey(1), {0: 10**9 - 6})
-
-
-def test_self_transfer_threads_state_through_the_tx():
-    book = funded_book(1)
-    ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 1, 0, 100), book)
-    assert [op.index for op in ops] == [1, 1]
-    apply_leaf_ops(book, ops)
-    assert book.accounts[1].balances[0] == 10**9
-    assert book.accounts[1].nonce == 1
 
 
 # -- reusing the accounts decomposition encoded ---------------------------------------
@@ -367,15 +310,6 @@ def test_deposit_to_unseen_account_creates_it_with_one_token():
     assert required_preseed(blocks) == ({1}, {0, 2})
     with pytest.raises(InsufficientBalanceError, match="account 9 token 2: 0 [+] -7 < 0"):
         replay_blocks(blocks, build_preseed_book(blocks))
-
-
-@pytest.mark.parametrize("transfer_swap", [False, True])
-@pytest.mark.parametrize("name", ["hot_account.json", "dispersed.json", "synthetic_100blocks.json"])
-def test_bundled_trace_replays_under_every_filter(repo_root, name, transfer_swap):
-    blocks = parse_block_trace(repo_root / "traces" / name)
-    if transfer_swap:
-        blocks = filter_transfer_swap(blocks)
-    assert len(replay_blocks(blocks, build_preseed_book(blocks))) == len(blocks)
 
 
 def test_synthetic_traces_replay_without_rejection():
