@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +51,33 @@ accounts_strategy = st.builds(
 @given(accounts_strategy)
 def test_codec_round_trip(account):
     assert decode_account(encode_account(account), account.account_id) == account
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"\x00" * 29,  # one short of the fixed header
+        encode_account(Account(0)) + b"\x00",  # trailing junk
+        b"\x00" * 28 + (2).to_bytes(2, "little") + b"\x00" * 18,  # count too large
+    ],
+)
+def test_decode_rejects_bad_lengths(data):
+    with pytest.raises(AccountCodecError):
+        decode_account(data, 0)
+
+
+def test_decode_rejects_non_canonical_token_order():
+    good = encode_account(Account(0, 0, b"\x00" * 20, {1: 5, 2: 6}))
+    swapped = good[:30] + good[48:66] + good[30:48]
+    with pytest.raises(AccountCodecError):
+        decode_account(swapped, 0)
+
+
+def test_decode_rejects_zero_balance():
+    data = b"\x00" * 28 + (1).to_bytes(2, "little") + (3).to_bytes(2, "little") + b"\x00" * 16
+    with pytest.raises(AccountCodecError):
+        decode_account(data, 0)
 
 
 @pytest.mark.parametrize(
@@ -121,6 +150,23 @@ def test_apply_delta(before, deltas, after):
 def test_apply_delta_insufficient_balance():
     with pytest.raises(InsufficientBalanceError, match="account 1 token 0: 0 [+] -1 < 0"):
         apply_delta(Account(1), 0, -1)
+
+
+def test_encoding_collision_free_at_desk_scale():
+    rng = random.Random(99)
+    seen = {}
+    for _ in range(500):
+        account = Account(
+            rng.randrange(2**24),
+            rng.randrange(2**32),
+            rng.randbytes(20),
+            {rng.randrange(2**16): rng.randrange(1, 2**64) for _ in range(rng.randrange(4))},
+        )
+        encoded = encode_account(account)
+        if encoded in seen:
+            assert seen[encoded] == (account.nonce, account.pubkey_hash, account.balances)
+        seen[encoded] = (account.nonce, account.pubkey_hash, account.balances)
+    assert len(seen) > 490  # collisions only via identical field draws
 
 
 def test_leaf_digest_tracks_every_field():

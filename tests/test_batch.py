@@ -287,6 +287,14 @@ def test_malformed_ops_never_reach_the_tree(engine, build, message):
     check_consistency(tree)
 
 
+def test_failed_batch_after_insert_leaves_empty_cache():
+    tree = gen(6)
+    with pytest.raises(BatchPreconditionError):
+        batch_update(tree, [LeafOperation.insert(5, b"v"), LeafOperation.update(9, b"w")])
+    assert tree.cache == {}
+    assert tree.leaf_values == {}
+
+
 @pytest.mark.parametrize("kind", [OpKind.INSERT, OpKind.UPDATE])
 def test_default_payload_rejected_at_the_same_op_by_both_engines(kind):
     base = populated(8, {3: b"a", 9: b"b"})

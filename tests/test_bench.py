@@ -35,11 +35,17 @@ def read_csv(path):
 # -- the headline metric -------------------------------------------------------
 
 
-def test_percent_decrease():
+def test_percent_decrease_arithmetic():
     assert percent_decrease(100.0, 90.0) == pytest.approx(10.0)
     assert percent_decrease(250.0, 250.0) == 0.0
+
+
+def test_percent_decrease_sign_convention():
     # A slower new engine reports a negative decrease.
     assert percent_decrease(100.0, 103.81) == pytest.approx(-3.81)
+
+
+def test_percent_decrease_rejects_zero_baseline():
     with pytest.raises(UndefinedMetricError):
         percent_decrease(0.0, 5.0)
 
@@ -106,6 +112,19 @@ def test_micro_report_shape(micro_report):
     assert len(micro_report.rows) == 12
     assert len(micro_report.aggregates) == 4
     assert all(row.run in (1, 2, 3) for row in micro_report.rows)
+
+
+def test_micro_sanity_roots_match(micro_report):
+    for k in (4, 16):
+        roots = {row.root_hex for row in micro_report.rows if row.k == k}
+        assert len(roots) == 1
+
+
+def test_micro_counters_stable_across_runs(micro_report):
+    for k in (4, 16):
+        for engine in ("obu", "two-phase"):
+            rows = [r for r in micro_report.rows if r.k == k and r.engine == engine]
+            assert len({(r.node_visits, r.hash_invocations) for r in rows}) == 1
 
 
 def test_micro_percent_on_obu_aggregate_only(micro_report):
@@ -272,6 +291,15 @@ def test_macro_report_shape(small_trace):
         assert name in report.stats["nanos_reduction"]
     ks = {row.k for row in report.rows}
     assert ks == {1, 2, 3, 4}  # block numbers surface in the k column
+
+
+def test_macro_roots_agree_per_block(small_trace):
+    report = run_macro(small_trace, depth=10, runs=2)
+    for block in (1, 2, 3, 4):
+        roots = {row.root_hex for row in report.rows if row.k == block}
+        assert len(roots) == 1
+    # state advances between blocks
+    assert len({row.root_hex for row in report.rows}) == 4
 
 
 def test_macro_filter_mode(small_trace, tmp_path):

@@ -60,6 +60,14 @@ def test_default_digests_depth_one():
     assert default_digests(DEFAULT_SCHEME, 1) == (hash_node(DEFAULT_SCHEME, leaf, leaf), leaf)
 
 
+def test_default_digests_recurrence():
+    table = default_digests(DEFAULT_SCHEME, 12)
+    assert len(table) == 13
+    assert table[12] == EMPTY_LEAF
+    for level in range(12):
+        assert table[level] == hash_node(DEFAULT_SCHEME, table[level + 1], table[level + 1])
+
+
 def test_default_digests_depth24_root_golden():
     table = default_digests(DEFAULT_SCHEME, 24)
     assert len(table) == 25

@@ -112,6 +112,16 @@ def test_update_identical_value_keeps_root():
     assert tree.root() == root
 
 
+def test_insert_then_remove_restores_empty_root():
+    tree = gen(5)
+    empty = tree.root()
+    batch_update(tree, [LeafOperation.insert(7, b"v")])
+    assert tree.root() != empty
+    batch_update(tree, [LeafOperation.remove(7)])
+    assert tree.root() == empty
+    assert tree.cache == {}
+
+
 # -- commit ----------------------------------------------------------------------
 
 
@@ -147,6 +157,12 @@ def test_commit_out_of_range_key():
 
 
 # -- witnesses -------------------------------------------------------------------
+
+
+def test_witness_length_is_depth():
+    tree = build(6, {9: b"x"})
+    assert len(tree.member_witness_create(9).siblings) == 6
+    assert len(tree.member_witness_create(0).siblings) == 6
 
 
 def test_empty_tree_witness_is_default_chain():
@@ -186,6 +202,15 @@ def test_pruned_tree_membership_structure():
     assert non_member_verify(tree.root(), tree.member_witness_create(2), 3)
     # a present leaf is not "absent"
     assert not non_member_verify(tree.root(), tree.member_witness_create(4), 3)
+
+
+def test_member_verify_rejects_corruption():
+    tree = build(4, {3: b"x", 9: b"y"})
+    witness = tree.member_witness_create(3)
+    assert member_verify(tree.root(), witness, b"x", 4)
+    corrupt = list(witness.siblings)
+    corrupt[2] = bytes([corrupt[2][0] ^ 1]) + corrupt[2][1:]
+    assert not member_verify(tree.root(), Witness(3, tuple(corrupt)), b"x", 4)
 
 
 def test_member_verify_rejects_wrong_value():

@@ -104,6 +104,18 @@ def test_transfer_to_new_rejects_existing_target():
         tx_to_leaf_ops(TxRecord(TxType.TRANSFER_TO_NEW, 1, 7, 0, 10), book)
 
 
+def test_unresolved_reference_rejected():
+    with pytest.raises(TraceValidationError):
+        tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 1), funded_book(1))
+
+
+def test_tx_record_requires_role_fields():
+    with pytest.raises(TraceValidationError):
+        TxRecord(TxType.TRANSFER, 1, None, 0, 1)
+    with pytest.raises(TraceValidationError):
+        TxRecord(TxType.DEPOSIT, 1, None, 0, 1)
+
+
 @pytest.mark.parametrize("tx_type", list(TxType))
 def test_role_checks_follow_the_step_table(tx_type):
     needs = {
@@ -165,6 +177,15 @@ def test_failed_tx_leaves_the_book_untouched():
             apply(target, tx_to_leaf_ops(tx, target))
     assert book.accounts == reference.accounts
     assert book.accounts[1] == Account(1, 5, default_pubkey(1), {0: 10**9 - 6})
+
+
+def test_self_transfer_threads_state_through_the_tx():
+    book = funded_book(1)
+    ops = tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 1, 0, 100), book)
+    assert [op.index for op in ops] == [1, 1]
+    apply_leaf_ops(book, ops)
+    assert book.accounts[1].balances[0] == 10**9
+    assert book.accounts[1].nonce == 1
 
 
 # -- reusing the accounts decomposition encoded ---------------------------------------
@@ -310,6 +331,15 @@ def test_deposit_to_unseen_account_creates_it_with_one_token():
     assert required_preseed(blocks) == ({1}, {0, 2})
     with pytest.raises(InsufficientBalanceError, match="account 9 token 2: 0 [+] -7 < 0"):
         replay_blocks(blocks, build_preseed_book(blocks))
+
+
+@pytest.mark.parametrize("transfer_swap", [False, True])
+@pytest.mark.parametrize("name", ["hot_account.json", "dispersed.json", "synthetic_100blocks.json"])
+def test_bundled_trace_replays_under_every_filter(repo_root, name, transfer_swap):
+    blocks = parse_block_trace(repo_root / "traces" / name)
+    if transfer_swap:
+        blocks = filter_transfer_swap(blocks)
+    assert len(replay_blocks(blocks, build_preseed_book(blocks))) == len(blocks)
 
 
 def test_synthetic_traces_replay_without_rejection():
