@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 
 from .counters import CounterSet
+from .hasher import DEFAULT_PAYLOAD
 from .smt_core import (
     OP_INSERT,
     DefaultPayloadError,
@@ -75,7 +76,7 @@ def _write_leaves(tree: SparseMerkleTree, ops: list[LeafOperation]) -> dict[int,
     the slot's last op removed it. On the first failing op, which has mutated
     nothing, every earlier value write is undone and BatchPreconditionError is
     raised; the cache was never touched."""
-    values, leaf_base, default = tree.leaf_values, tree.capacity, tree.scheme.default_payload
+    values, leaf_base, default = tree.leaf_values, tree.capacity, DEFAULT_PAYLOAD
     # Undo records: (index, old_value), None when the leaf was absent.
     journal: list[tuple[int, bytes | None]] = []
     written: dict[int, bytes | None] = {}

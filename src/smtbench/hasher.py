@@ -11,9 +11,16 @@ from typing import Callable, NamedTuple
 # still fit in 64 bits.
 MAX_HEIGHT = 63
 
+# Shared by every scheme, which differs only in its backend. The tags keep leaf
+# and internal-node digests in disjoint domains; an absent leaf holds b"".
+LEAF_TAG = b"\x00"
+NODE_TAG = b"\x01"
+DEFAULT_PAYLOAD = b""
+DIGEST_SIZE = 32
+
 
 class InvalidDigestError(ValueError):
-    """A digest argument does not have the scheme's digest length."""
+    """A digest argument is not DIGEST_SIZE bytes long."""
 
 
 class _Sha256x64:
@@ -41,10 +48,10 @@ class _Sha256x64:
         return out
 
 
-# scheme_id -> (digest size in bytes, hashlib-style constructor)
+# scheme_id -> hashlib-style constructor of a DIGEST_SIZE-byte digest
 _BACKENDS = {
-    "sha256": (32, hashlib.sha256),
-    "sha256x64": (32, _Sha256x64),
+    "sha256": hashlib.sha256,
+    "sha256x64": _Sha256x64,
 }
 
 
@@ -52,7 +59,6 @@ class BoundHasher(NamedTuple):
     """A scheme's node and leaf hashes, bound once: no registry lookup and
     no length check per call, so callers pass trusted digests only."""
 
-    digest_size: int
     node: Callable[[bytes, bytes], bytes]
     leaf: Callable[[bytes], bytes]
 
@@ -65,9 +71,9 @@ def _bind(scheme: "HashScheme") -> BoundHasher:
     OpenSSL 3.0 on a 2-core Intel Xeon VM it made a node hash ~15% cheaper
     than `hashlib.sha256(tag + left + right).digest()`.
     """
-    size, new = _BACKENDS[scheme.scheme_id]
-    fresh_node = new(scheme.node_domain_tag).copy
-    fresh_leaf = new(scheme.leaf_domain_tag).copy
+    new = _BACKENDS[scheme.scheme_id]
+    fresh_node = new(NODE_TAG).copy
+    fresh_leaf = new(LEAF_TAG).copy
 
     def node(left: bytes, right: bytes) -> bytes:
         state = fresh_node()
@@ -80,13 +86,13 @@ def _bind(scheme: "HashScheme") -> BoundHasher:
         state.update(payload)
         return state.digest()
 
-    return BoundHasher(size, node, leaf)
+    return BoundHasher(node, leaf)
 
 
 @dataclass(frozen=True)
 class HashScheme:
-    """Names a backend hash plus the single-byte tags that keep leaf digests
-    and internal-node digests in disjoint domains.
+    """Names a backend hash; the tags, default payload and digest size are
+    the module constants, the same for every scheme.
 
     `hasher` (not a field) holds the scheme's `BoundHasher`, built once at
     construction for the engines' hot paths. `empty_chain` (not a field)
@@ -96,33 +102,20 @@ class HashScheme:
     """
 
     scheme_id: str = "sha256"
-    leaf_domain_tag: bytes = b"\x00"
-    node_domain_tag: bytes = b"\x01"
-    default_payload: bytes = b""
 
     def __post_init__(self) -> None:
         if self.scheme_id not in _BACKENDS:
             raise ValueError(f"unknown hash scheme {self.scheme_id!r}")
-        if len(self.leaf_domain_tag) != 1 or len(self.node_domain_tag) != 1:
-            raise ValueError("domain tags must be single bytes")
-        if self.leaf_domain_tag == self.node_domain_tag:
-            raise ValueError("leaf and node domain tags must differ")
         hasher = _bind(self)
-        chain = [hasher.leaf(self.default_payload)]
+        chain = [hasher.leaf(DEFAULT_PAYLOAD)]
         for _ in range(MAX_HEIGHT):
             chain.append(hasher.node(chain[-1], chain[-1]))
         object.__setattr__(self, "hasher", hasher)
         object.__setattr__(self, "empty_chain", tuple(chain))
 
     def __reduce__(self):
-        # Rebuild from the fields: the bound closures do not pickle, and the
-        # chain follows from them.
-        return (HashScheme, (self.scheme_id, self.leaf_domain_tag,
-                             self.node_domain_tag, self.default_payload))
-
-    @property
-    def digest_size(self) -> int:
-        return self.hasher.digest_size
+        # The bound closures do not pickle; the id rebuilds them and the chain.
+        return (HashScheme, (self.scheme_id,))
 
 
 DEFAULT_SCHEME = HashScheme()
@@ -130,19 +123,17 @@ SLOW_SCHEME = HashScheme(scheme_id="sha256x64")
 
 
 def hash_leaf(scheme: HashScheme, payload: bytes) -> bytes:
-    """Digest of a leaf value: backend(leaf_tag || payload)."""
+    """Digest of a leaf value: backend(LEAF_TAG || payload)."""
     return scheme.hasher.leaf(payload)
 
 
 def hash_node(scheme: HashScheme, left: bytes, right: bytes) -> bytes:
-    """Digest of an internal node: backend(node_tag || left || right)."""
-    hasher = scheme.hasher
-    size = hasher.digest_size
-    if len(left) != size or len(right) != size:
+    """Digest of an internal node: backend(NODE_TAG || left || right)."""
+    if len(left) != DIGEST_SIZE or len(right) != DIGEST_SIZE:
         raise InvalidDigestError(
-            f"child digests must be {size} bytes, got {len(left)} and {len(right)}"
+            f"child digests must be {DIGEST_SIZE} bytes, got {len(left)} and {len(right)}"
         )
-    return hasher.node(left, right)
+    return scheme.hasher.node(left, right)
 
 
 def default_digests(scheme: HashScheme, depth: int) -> tuple[bytes, ...]:
@@ -156,9 +147,3 @@ def default_digests(scheme: HashScheme, depth: int) -> tuple[bytes, ...]:
     if not 1 <= depth <= MAX_HEIGHT:
         raise ValueError(f"depth must be in [1, {MAX_HEIGHT}], got {depth}")
     return scheme.empty_chain[depth::-1]
-
-
-def format_digest_table(table: list[bytes]) -> str:
-    """Fixture encoding of a default-digest table: one lowercase-hex digest
-    per line, line i = level i."""
-    return "".join(d.hex() + "\n" for d in table)

@@ -16,12 +16,15 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Mapping
 
-from .hasher import DEFAULT_SCHEME, MAX_HEIGHT, HashScheme, default_digests, hash_leaf, hash_node
+from .hasher import (
+    DEFAULT_PAYLOAD, DEFAULT_SCHEME, DIGEST_SIZE, MAX_HEIGHT, HashScheme, default_digests,
+    hash_leaf, hash_node,
+)
 
 MAX_DEPTH = MAX_HEIGHT  # heap indices stay within 64-bit unsigned range
 
 # A snapshot's first line; one `L <index> <hex>` line per leaf follows it.
-SNAPSHOT_HEADER = "smt-snapshot 1 depth={} scheme={} leaf_tag={} node_tag={} default={} root={}"
+SNAPSHOT_HEADER = "smt-snapshot 2 depth={} scheme={} root={}"
 _HEADER_NAMES = [field.partition("=")[0] for field in SNAPSHOT_HEADER.split(" ")]
 
 
@@ -244,10 +247,8 @@ class SparseMerkleTree:
 
     def export_snapshot(self) -> str:
         """`SNAPSHOT_HEADER`, then the leaves by ascending index: the cache follows from them."""
-        s = self.scheme
-        tags = [b.hex() for b in (s.leaf_domain_tag, s.node_domain_tag, s.default_payload)]
         leaves = [f"L {k} {v.hex()}\n" for k, v in sorted(self.leaf_values.items())]
-        header = SNAPSHOT_HEADER.format(self.depth, s.scheme_id, *tags, self.root().hex())
+        header = SNAPSHOT_HEADER.format(self.depth, self.scheme.scheme_id, self.root().hex())
         return header + "\n" + "".join(leaves)
 
 
@@ -257,12 +258,14 @@ def gen(depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> SparseMerkleTree:
 
 
 def load_snapshot(text: str) -> SparseMerkleTree:
-    """Rebuild a tree from `export_snapshot` output. The header gives an empty
-    tree; one `batch_update` inserts every leaf, its rules checking each line,
-    and must reach the header's root. Each rejection names its line."""
+    """Rebuild a tree from `export_snapshot` output, and accept only the text
+    it writes: each line, ending in "\n", must be what re-rendering its parsed
+    values gives, and leaf indices must not descend. The header gives an
+    empty tree; one `batch_update` inserts every leaf, its rules checking each
+    line, and must reach the header's root. Each rejection names its line."""
     from .batch import BatchPreconditionError, batch_update
 
-    header, *lines = text.splitlines() or [""]
+    header, *lines = text.removesuffix("\n").split("\n")
     fields, lineno, ops = header.split(" "), 1, []
     try:
         if fields[0] != _HEADER_NAMES[0]:
@@ -271,16 +274,26 @@ def load_snapshot(text: str) -> SparseMerkleTree:
             raise ValueError(f"unknown snapshot version {' '.join(fields[1:2])!r}")
         if [field.partition("=")[0] for field in fields] != _HEADER_NAMES:
             raise ValueError(f"header fields differ from {SNAPSHOT_HEADER!r}")
-        depth, scheme_id, *hexes = [field.partition("=")[2] for field in fields[2:]]
-        leaf_tag, node_tag, default, root = map(bytes.fromhex, hexes)
-        tree = SparseMerkleTree(int(depth), HashScheme(scheme_id, leaf_tag, node_tag, default))
-        if len(root) != tree.scheme.digest_size:
-            raise ValueError(f"root is {len(root)} bytes, expected {tree.scheme.digest_size}")
+        depth, scheme_id, root_hex = [field.partition("=")[2] for field in fields[2:]]
+        tree = SparseMerkleTree(int(depth), HashScheme(scheme_id))
+        root = bytes.fromhex(root_hex)
+        if len(root) != DIGEST_SIZE:
+            raise ValueError(f"root is {len(root)} bytes, expected {DIGEST_SIZE}")
+        rendered = SNAPSHOT_HEADER.format(tree.depth, scheme_id, root.hex())
+        if header != rendered:
+            raise ValueError(f"not canonical, expected {rendered!r}")
         for lineno, line in enumerate(lines, start=2):
             parts = line.split(" ")
             if len(parts) != 3 or parts[0] != "L":
                 raise ValueError("expected 'L <index> <hex>'")
-            ops.append(LeafOperation.insert(int(parts[1]), bytes.fromhex(parts[2])))
+            index, value = int(parts[1]), bytes.fromhex(parts[2])
+            if line != f"L {index} {value.hex()}":
+                raise ValueError(f"not canonical, expected 'L {index} {value.hex()}'")
+            if ops and index < ops[-1].index:  # an equal index fails as a duplicate
+                raise ValueError(f"leaf {index} follows leaf {ops[-1].index}")
+            ops.append(LeafOperation.insert(index, value))
+        if not text.endswith("\n"):
+            raise ValueError("no newline at the end")
         rebuilt = batch_update(tree, ops).new_root
     except BatchPreconditionError as exc:
         raise SnapshotFormatError(f"snapshot line {exc.op_index + 2}: {exc.cause}") from exc
@@ -321,9 +334,9 @@ def member_verify(
         or not isinstance(value, bytes)
     ):
         return False
-    size, node_hash, leaf_hash = scheme.hasher
+    node_hash, leaf_hash = scheme.hasher
     height = 0
-    if value == scheme.default_payload:
+    if value == DEFAULT_PAYLOAD:
         chain = scheme.empty_chain
         for sibling in siblings:
             if not isinstance(sibling, bytes) or sibling != chain[height]:
@@ -336,7 +349,7 @@ def member_verify(
     # Above the chain the carried digest never returns to it: only two empty
     # subtrees hash to an empty subtree's digest.
     for sibling in siblings[height:]:
-        if not isinstance(sibling, bytes) or len(sibling) != size:
+        if not isinstance(sibling, bytes) or len(sibling) != DIGEST_SIZE:
             return False
         if index & 1:
             digest = node_hash(sibling, digest)
@@ -350,7 +363,7 @@ def non_member_verify(
     root: bytes, witness: Witness, depth: int, scheme: HashScheme = DEFAULT_SCHEME
 ) -> bool:
     """Absence proof: membership of the canonical default payload."""
-    return member_verify(root, witness, scheme.default_payload, depth, scheme)
+    return member_verify(root, witness, DEFAULT_PAYLOAD, depth, scheme)
 
 
 def check_consistency(tree: SparseMerkleTree) -> None:

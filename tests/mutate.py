@@ -30,10 +30,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (file under the checkout, function names to mutate; None mutates the whole file)
+# (file under the checkout, function names to mutate, a method by its bare
+# name; None mutates the whole file)
 TARGETS = (
     ("src/smtbench/batch.py", None),
-    ("src/smtbench/smt_core.py", ("member_verify", "member_witness_create", "_check_index_type", "_is_index")),
+    ("src/smtbench/hasher.py", ("_bind", "__post_init__")),
+    ("src/smtbench/smt_core.py",
+     ("member_verify", "member_witness_create", "_check_index_type", "_is_index", "load_snapshot")),
     ("src/smtbench/account_model.py", None),
     ("src/smtbench/workload.py", ("required_preseed", "build_preseed_book", "tx_to_leaf_ops", "apply_leaf_ops")),
 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from smtbench.account_model import decode_account
-from smtbench.hasher import DEFAULT_SCHEME, HashScheme, hash_leaf, hash_node
+from smtbench.hasher import DEFAULT_PAYLOAD, DEFAULT_SCHEME, HashScheme, hash_leaf, hash_node
 from smtbench.smt_core import LeafOperation, OpKind
 from smtbench.workload import tx_to_leaf_ops
 
@@ -24,7 +24,7 @@ def naive_root(depth: int, leaves: dict[int, bytes], scheme: HashScheme = DEFAUL
     def rec(node: int) -> bytes:
         level = node.bit_length() - 1
         if level == depth:
-            value = leaves.get(node - (1 << depth), scheme.default_payload)
+            value = leaves.get(node - (1 << depth), DEFAULT_PAYLOAD)
             return hash_leaf(scheme, value)
         return hash_node(scheme, rec(2 * node), rec(2 * node + 1))
 
@@ -49,7 +49,7 @@ def fold_witness(
 
 def empty_digests(depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> list[bytes]:
     """Digest of an all-empty subtree by height, 0 (a default leaf) to depth."""
-    out = [hash_leaf(scheme, scheme.default_payload)]
+    out = [hash_leaf(scheme, DEFAULT_PAYLOAD)]
     for _ in range(depth):
         out.append(hash_node(scheme, out[-1], out[-1]))
     return out

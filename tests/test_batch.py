@@ -394,14 +394,14 @@ def test_sweep_first_level_carries_each_slots_last_write():
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
 def test_leaf_phase_hashes_each_dirty_slot_once(engine):
     scheme = HashScheme()
-    size, node, leaf = scheme.hasher
+    node, leaf = scheme.hasher
     hashed = []
 
     def counted_leaf(payload: bytes) -> bytes:
         hashed.append(payload)
         return leaf(payload)
 
-    object.__setattr__(scheme, "hasher", BoundHasher(size, node, counted_leaf))
+    object.__setattr__(scheme, "hasher", BoundHasher(node, counted_leaf))
     tree = gen(6, scheme)
     engine(tree, [LeafOperation.insert(1, b"a")])
     hashed.clear()

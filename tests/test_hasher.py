@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smtbench.hasher import (
+    DEFAULT_PAYLOAD,
     DEFAULT_SCHEME,
+    DIGEST_SIZE,
     MAX_HEIGHT,
     SLOW_SCHEME,
     HashScheme,
     InvalidDigestError,
     default_digests,
-    format_digest_table,
     hash_leaf,
     hash_node,
 )
@@ -84,7 +85,7 @@ def test_default_digests_rejects_bad_depth(depth):
 def test_empty_chain_is_the_default_table_by_height(scheme):
     chain = scheme.empty_chain
     assert len(chain) == MAX_HEIGHT + 1
-    assert chain[0] == hash_leaf(scheme, scheme.default_payload)
+    assert chain[0] == hash_leaf(scheme, DEFAULT_PAYLOAD)
     for height in range(MAX_HEIGHT):
         assert chain[height + 1] == hash_node(scheme, chain[height], chain[height])
     table = default_digests(scheme, 24)
@@ -93,7 +94,8 @@ def test_empty_chain_is_the_default_table_by_height(scheme):
 
 def test_golden_fixture_file_matches(repo_root):
     text = (repo_root / "fixtures" / "default_digests_sha256.txt").read_text()
-    assert format_digest_table(default_digests(DEFAULT_SCHEME, 24)) == text
+    # One lowercase-hex digest per line, line i = level i.
+    assert "".join(d.hex() + "\n" for d in default_digests(DEFAULT_SCHEME, 24)) == text
 
 
 def test_domain_separation_on_adversarial_payload():
@@ -104,18 +106,14 @@ def test_domain_separation_on_adversarial_payload():
     assert leaf_of_concat != NODE_AB
 
 
-@pytest.mark.parametrize(
-    "args",
-    [{"leaf_domain_tag": b"\x02", "node_domain_tag": b"\x02"}, {"scheme_id": "md5"}, {"leaf_domain_tag": b"\x00\x00"}],
-    ids=["equal-tags", "unknown-backend", "multibyte-tag"],
-)
+@pytest.mark.parametrize("args", [{"scheme_id": "md5"}], ids=["unknown-backend"])
 def test_scheme_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
         HashScheme(**args)
 
 
 def test_slow_scheme_is_a_distinct_function():
-    assert SLOW_SCHEME.digest_size == 32
+    assert len(hash_leaf(SLOW_SCHEME, b"a")) == DIGEST_SIZE
     assert hash_leaf(SLOW_SCHEME, b"a") != hash_leaf(DEFAULT_SCHEME, b"a")
     table = default_digests(SLOW_SCHEME, 4)
     for level in range(4):
@@ -125,14 +123,13 @@ def test_slow_scheme_is_a_distinct_function():
 @given(st.binary(max_size=64))
 def test_leaf_digest_size_and_purity(payload):
     digest = hash_leaf(DEFAULT_SCHEME, payload)
-    assert len(digest) == DEFAULT_SCHEME.digest_size
+    assert len(digest) == DIGEST_SIZE
     assert digest == hash_leaf(DEFAULT_SCHEME, payload)
 
 
 @pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, SLOW_SCHEME], ids=["sha256", "sha256x64"])
 def test_bound_hasher_equals_public_functions(scheme):
     hasher = scheme.hasher
-    assert hasher.digest_size == scheme.digest_size == 32
     for payload in (b"", b"a", bytes(range(70))):
         assert hasher.leaf(payload) == hash_leaf(scheme, payload)
     left, right = hasher.leaf(b"a"), hasher.leaf(b"b")

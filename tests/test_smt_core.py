@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smtbench.batch import OBU, TWO_PHASE, BatchPreconditionError, batch_update, two_phase_update
-from smtbench.hasher import DEFAULT_SCHEME, BoundHasher, HashScheme, hash_leaf, hash_node
+from smtbench.hasher import DEFAULT_PAYLOAD, DEFAULT_SCHEME, SLOW_SCHEME, BoundHasher, HashScheme, hash_leaf, hash_node
 from smtbench.smt_core import (
     ConfigError,
     ConsistencyError,
@@ -288,8 +288,14 @@ def test_present_leaf_may_not_hold_the_default_payload():
 
 # -- snapshots ---------------------------------------------------------------------
 
-CUSTOM_SCHEME = HashScheme(leaf_domain_tag=b"\x07", node_domain_tag=b"\x09", default_payload=b"zz")
 HEADER_8 = gen(8).export_snapshot()  # an empty depth-8 tree's header line
+ROOT_8 = gen(8).root().hex()
+# The export of leaves {3: b"\xab", 5: b"\xcd"} at depth 8, which test_snapshot_format_shape
+# checks: written out, so that a fault in the engines cannot stop this module from importing.
+SNAPSHOT_8 = (
+    "smt-snapshot 2 depth=8 scheme=sha256 root=55f7008ce0c055327e7fcb91f763c868698404a778df6d19832046bb98642bb9\n"
+    "L 3 ab\nL 5 cd\n"
+)
 
 
 def test_snapshot_round_trip():
@@ -304,22 +310,22 @@ def test_snapshot_round_trip():
 def test_snapshot_format_shape():
     lines = build(2, {0: b"a", 1: b"b", 3: b"c"}).export_snapshot().splitlines()
     assert lines == [
-        "smt-snapshot 1 depth=2 scheme=sha256 leaf_tag=00 node_tag=01 default= "
-        f"root={THREE_LEAF_ROOT.hex()}",
+        f"smt-snapshot 2 depth=2 scheme=sha256 root={THREE_LEAF_ROOT.hex()}",
         "L 0 61",
         "L 1 62",
         "L 3 63",
     ]
-    assert gen(3, CUSTOM_SCHEME).export_snapshot().startswith(
-        "smt-snapshot 1 depth=3 scheme=sha256 leaf_tag=07 node_tag=09 default=7a7a root="
+    assert build(8, {3: b"\xab", 5: b"\xcd"}).export_snapshot() == SNAPSHOT_8
+    assert gen(3, SLOW_SCHEME).export_snapshot() == (
+        f"smt-snapshot 2 depth=3 scheme=sha256x64 root={SLOW_SCHEME.empty_chain[3].hex()}\n"
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(depth=st.integers(1, 10), custom=st.booleans(), data=st.data())
-def test_snapshot_round_trip_is_exact(depth, custom, data):
-    scheme = CUSTOM_SCHEME if custom else DEFAULT_SCHEME
-    values = st.binary(max_size=4).filter(lambda v: v != scheme.default_payload)
+@given(depth=st.integers(1, 10), slow=st.booleans(), data=st.data())
+def test_snapshot_round_trip_is_exact(depth, slow, data):
+    scheme = SLOW_SCHEME if slow else DEFAULT_SCHEME
+    values = st.binary(max_size=4).filter(lambda v: v != DEFAULT_PAYLOAD)
     leaves = data.draw(st.dictionaries(st.integers(0, (1 << depth) - 1), values, max_size=40))
     removed = data.draw(st.sets(st.sampled_from(sorted(leaves)))) if leaves else set()
     tree = gen(depth, scheme)
@@ -334,30 +340,39 @@ def test_snapshot_round_trip_is_exact(depth, custom, data):
 
 SNAPSHOT_REJECTIONS = {  # case: (text, message after "snapshot ")
     # The old format and other header-less text.
-    "empty": ("", r"line 1: missing header, expected 'smt-snapshot 1 depth=\{\} scheme=\{\} "
-                  r"leaf_tag=\{\} node_tag=\{\} default=\{\} root=\{\}'$"),
-    "old-format": ("1 " + "00" * 32 + "\nL 0 61\n", "line 1: missing header, expected 'smt-snapshot 1 "),
+    "empty": ("", r"line 1: missing header, expected 'smt-snapshot 2 depth=\{\} scheme=\{\} root=\{\}'$"),
+    "old-format": ("1 " + "00" * 32 + "\nL 0 61\n", "line 1: missing header, expected 'smt-snapshot 2 "),
     "leaf-first": ("L 0 61\n", "line 1: missing header"),
     # Each header field.
-    "version": (HEADER_8.replace(" 1 ", " 2 "), "line 1: unknown snapshot version '2'$"),
-    "field-missing": (HEADER_8.replace(" default=", " "), "line 1: header fields differ from 'smt-snapshot 1 "),
+    "version": (HEADER_8.replace(" 2 ", " 3 "), "line 1: unknown snapshot version '3'$"),
+    "version-1": (
+        f"smt-snapshot 1 depth=8 scheme=sha256 leaf_tag=00 node_tag=01 default= root={ROOT_8}\n",
+        "line 1: unknown snapshot version '1'$",
+    ),
+    "field-missing": (HEADER_8.replace(" scheme=sha256", ""), "line 1: header fields differ from 'smt-snapshot 2 "),
     "field-extra": (HEADER_8.replace(" root=", " extra=1 root="), "line 1: header fields differ from"),
     "depth-0": (HEADER_8.replace("depth=8", "depth=0"), r"line 1: depth must be in \[1, 63\], got 0"),
     "depth-64": (HEADER_8.replace("depth=8", "depth=64"), r"line 1: depth must be in \[1, 63\], got 64"),
     "depth-word": (HEADER_8.replace("depth=8", "depth=eight"), "line 1: invalid literal for int.*'eight'"),
     "scheme": (HEADER_8.replace("scheme=sha256", "scheme=md5"), "line 1: unknown hash scheme 'md5'"),
-    "equal-tags": (HEADER_8.replace("leaf_tag=00", "leaf_tag=01"), "line 1: leaf and node domain tags must differ"),
-    "long-tag": (HEADER_8.replace("node_tag=01", "node_tag=0102"), "line 1: domain tags must be single bytes"),
-    "empty-tag": (HEADER_8.replace("leaf_tag=00", "leaf_tag="), "line 1: domain tags must be single bytes"),
-    "tag-hex": (HEADER_8.replace("node_tag=01", "node_tag=0g"), "line 1: non-hexadecimal"),
-    "default-hex": (HEADER_8.replace("default=", "default=abc"), "line 1: non-hexadecimal"),
     "root-length": (HEADER_8.replace("root=", "root=00"), "line 1: root is 33 bytes, expected 32"),
     "root-hex": (HEADER_8.replace("root=", "root=zz"), "line 1: non-hexadecimal"),
+    # Text that parses, but that export_snapshot does not write.
+    "depth-plus": (HEADER_8.replace("depth=8", "depth=+8"), f"line 1: not canonical, expected '{HEADER_8[:-1]}'$"),
+    "root-uppercase": (HEADER_8.replace(ROOT_8, ROOT_8.upper()), "line 1: not canonical, expected 'smt-snapshot 2 "),
+    "index-zero": (SNAPSHOT_8.replace("L 3 ", "L 03 "), "line 2: not canonical, expected 'L 3 ab'$"),
+    "index-plus": (SNAPSHOT_8.replace("L 3 ", "L +3 "), "line 2: not canonical, expected 'L 3 ab'$"),
+    "index-digit": (SNAPSHOT_8.replace("L 3 ", "L \u0663 "), "line 2: not canonical, expected 'L 3 ab'$"),
+    "value-uppercase": (SNAPSHOT_8.replace("L 3 ab", "L 3 AB"), "line 2: not canonical, expected 'L 3 ab'$"),
+    "descending": (SNAPSHOT_8.replace("L 3 ab\nL 5 cd", "L 5 cd\nL 3 ab"), "line 3: leaf 3 follows leaf 5$"),
+    "crlf": (SNAPSHOT_8.replace("\n", "\r\n"), "line 1: not canonical, expected 'smt-snapshot 2 "),
+    "no-final-newline": (SNAPSHOT_8[:-1], "line 3: no newline at the end$"),
+    "header-only-no-newline": (HEADER_8[:-1], "line 1: no newline at the end$"),
     # Leaf lines, checked by the engine's leaf phase.
     "range-high": (HEADER_8 + "L 255 00\nL 256 00\n", r"line 3: leaf index 256 outside \[0, 256\) at depth 8"),
     "range-negative": (HEADER_8 + "L -1 00\n", "line 2: leaf index -1 outside"),
     "default-payload": (HEADER_8 + "L 3 00\nL 5 \n", "line 3: leaf 5 would hold the default payload"),
-    "duplicate": (HEADER_8 + "L 3 00\nL 4 01\nL 3 02\n", "line 4: leaf 3 already present"),
+    "duplicate": (HEADER_8 + "L 3 00\nL 4 01\nL 4 02\n", "line 4: leaf 4 already present"),
     "index-word": (HEADER_8 + "L x 61\n", "line 2: invalid literal for int"),
     "value-hex": (HEADER_8 + "L 3 6g\n", "line 2: non-hexadecimal"),
     "no-value": (HEADER_8 + "L 3\n", "line 2: expected 'L <index> <hex>'"),
@@ -505,7 +520,7 @@ def test_verify_agrees_with_plain_fold_on_random_trees():
 def counting_scheme() -> tuple[HashScheme, dict[str, int]]:
     """The default scheme with its bound hasher wrapped to count calls."""
     scheme, calls = HashScheme(), {"node": 0, "leaf": 0}
-    size, node, leaf = scheme.hasher
+    node, leaf = scheme.hasher
 
     def counted_node(left: bytes, right: bytes) -> bytes:
         calls["node"] += 1
@@ -515,7 +530,7 @@ def counting_scheme() -> tuple[HashScheme, dict[str, int]]:
         calls["leaf"] += 1
         return leaf(payload)
 
-    object.__setattr__(scheme, "hasher", BoundHasher(size, counted_node, counted_leaf))
+    object.__setattr__(scheme, "hasher", BoundHasher(counted_node, counted_leaf))
     return scheme, calls
 
 
