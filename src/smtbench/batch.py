@@ -14,11 +14,11 @@ root digest it computed. Each affected path is walked once.
 traversal per operation to mutate the leaf, then a recursive top-down rehash
 of the stale paths, so every affected path is walked twice.
 
-Both engines check, write and, on a failed precondition, undo a batch's
-leaves through one `_write_leaves` call; only what they charge for it and how
-they rehash differ. Both produce bytewise-identical roots, final tree states,
-and hash counts on the same inputs; the difference the benchmarks measure is
-traversal work. Both run on the calling thread.
+Both engines check a batch's leaves in full and only then write them, through
+one `_write_leaves` call; only what they charge for it and how they rehash
+differ. Both produce bytewise-identical roots, final tree states and hash
+counts on the same inputs; the difference the benchmarks measure is traversal
+work. Both run on the calling thread.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ TWO_PHASE = "two-phase"
 
 
 class BatchPreconditionError(SmtError):
-    """An operation's precondition failed mid-batch; the tree was rolled back
-    to its pre-batch state."""
+    """An operation's precondition failed; the batch was checked in full
+    before any write, so the tree is as it was before the batch."""
 
     def __init__(self, op_index: int, cause: SmtError) -> None:
         super().__init__(f"operation {op_index} rejected: {cause}")
@@ -68,57 +68,49 @@ class BatchResult:
 # -- shared leaf phase -------------------------------------------------------
 
 
-def _write_leaves(tree: SparseMerkleTree, ops: list[LeafOperation]) -> dict[int, bytes | None]:
-    """Check each op's preconditions and write or delete its leaf value, in
-    order; then, once every op has passed, hash each dirty slot's final value
-    once into the cache. Ancestors stay stale for the engine's hash phase.
-    Returns the dirty leaf slots: heap index -> new leaf digest, or None where
-    the slot's last op removed it. On the first failing op, which has mutated
-    nothing, every earlier value write is undone and BatchPreconditionError is
-    raised; the cache was never touched."""
+def _write_leaves(
+    tree: SparseMerkleTree, ops: list[LeafOperation]
+) -> tuple[dict[int, bytes | None], int]:
+    """Check every op's preconditions in order, reading the tree through the
+    batch's own earlier ops, and write nothing while checking; a failing op
+    raises BatchPreconditionError with the tree untouched. Then write each
+    dirty slot's final value and hash it once into the cache. Ancestors stay
+    stale for the engine's hash phase. Returns the dirty leaf slots, heap
+    index -> new leaf digest or None where the slot's last op removed it, and
+    the number of leaf hashes made."""
     values, leaf_base, default = tree.leaf_values, tree.capacity, DEFAULT_PAYLOAD
-    # Undo records: (index, old_value), None when the leaf was absent.
-    journal: list[tuple[int, bytes | None]] = []
+    # Leaf index -> the slot's value so far in this batch, None when removed.
+    # Keyed by the ops' own index objects, which `leaf_values` then shares.
     written: dict[int, bytes | None] = {}
     try:
-        for op in ops:
+        for op_index, op in enumerate(ops):
             index, value = op.index, op.value
-            old_value = values.get(index)
+            present = written[index] is not None if index in written else index in values
             if op.kind is OP_INSERT:
                 tree.check_range(index)
-                if old_value is not None:
+                if present:
                     raise DuplicateLeafError(f"leaf {index} already present")
-            elif old_value is None:
+            elif not present:
                 raise MissingLeafError(f"leaf {index} not present")
             if value == default:  # a remove's value is None
                 raise DefaultPayloadError(f"leaf {index} would hold the default payload")
-            journal.append((index, old_value))
-            if value is None:
-                del values[index]
-            else:
-                values[index] = value
-            written[leaf_base + index] = value
+            written[index] = value
     except SmtError as exc:
-        for index, value in reversed(journal):
-            if value is None:
-                del values[index]
-            else:
-                values[index] = value
-        raise BatchPreconditionError(len(journal), exc) from exc
+        raise BatchPreconditionError(op_index, exc) from exc
     cache, leaf_hash = tree.cache, tree.scheme.hasher.leaf
-    for heap, value in written.items():  # rewrites values in place, never keys
+    dirty: dict[int, bytes | None] = {}
+    removed = 0
+    for index, value in written.items():
+        heap = leaf_base + index
         if value is None:
+            values.pop(index, None)
             cache.pop(heap, None)
+            dirty[heap] = None
+            removed += 1
         else:
-            cache[heap] = written[heap] = leaf_hash(value)
-    return written
-
-
-def _hashed_leaf_count(ops: list[LeafOperation]) -> int:
-    """Distinct leaves a batch writes a value to: each counts once, however
-    often it was rewritten. A leaf written and then removed in one batch is
-    counted, though `_write_leaves` never hashes it."""
-    return len({op.index for op in ops if op.value is not None})
+            values[index] = value
+            cache[heap] = dirty[heap] = leaf_hash(value)
+    return dirty, len(written) - removed
 
 
 # -- one-phase batch update ----------------------------------------------------
@@ -129,14 +121,14 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     remove and `depth` per insert, then a bottom-up level sweep carrying fresh
     digests and rehashing exactly the dirty nodes. The level loop runs while
     two or more dirty nodes are left; from the last one the sweep climbs
-    alone to the root, whose digest it returns as `new_root`. Aborting ops
-    roll the tree back untouched."""
+    alone to the root, whose digest it returns as `new_root`. A failing op
+    leaves the tree untouched."""
     counters = CounterSet()
     if not ops:
         return BatchResult(tree.root(), counters, [])
 
     started = time.perf_counter_ns()
-    written = _write_leaves(tree, ops)
+    written, hashed_leaves = _write_leaves(tree, ops)
     cache, depth, leaf_base = tree.cache, tree.depth, tree.capacity
     inserts = 0
     for op in ops:
@@ -147,7 +139,6 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
                 parent in cache
                 parent >>= 1
     visits = len(ops) + (depth - 1) * inserts
-    hashed_leaves = _hashed_leaf_count(ops)
     counters.leaf_phase_visits = visits
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
@@ -221,7 +212,7 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
         return BatchResult(tree.root(), counters)
 
     started = time.perf_counter_ns()
-    _write_leaves(tree, ops)
+    counters.hash_invocations = _write_leaves(tree, ops)[1]  # the leaf hashes
     leaf_base = tree.capacity
     stale: set[int] = set()
     mark = stale.add
@@ -230,14 +221,12 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
         while node >= 1:
             mark(node)
             node >>= 1
-    hashed_leaves = _hashed_leaf_count(ops)
     counters.leaf_phase_visits = counters.node_visits = tree.depth * len(ops)
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
     new_root = _rehash_recursive(tree, 1, stale, counters)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
-    counters.hash_invocations += hashed_leaves
     counters.levels_processed = tree.depth
     return BatchResult(new_root, counters)
 

@@ -12,11 +12,10 @@ class CounterSet:
 
     node_visits follows the library's visit convention: one visit is one
     cache lookup-or-write on a node index performed by the operation's own
-    control flow. hash_invocations counts distinct leaves written (once per
-    leaf, however many times it was rewritten; a leaf written and then
-    removed in one batch is counted but not hashed) plus distinct ancestors
-    rehashed. Wall times are nanoseconds; they are excluded from determinism
-    comparisons.
+    control flow. hash_invocations counts the hasher calls the engine makes:
+    one leaf hash per slot that holds a value after the batch (however often
+    it was rewritten) plus one node hash per ancestor rehashed. Wall times
+    are nanoseconds; they are excluded from determinism comparisons.
     """
 
     node_visits: int = 0

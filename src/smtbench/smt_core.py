@@ -135,8 +135,8 @@ class LeafOperation(FrozenValue):
     value: bytes | None
 
     def __init__(self, kind: OpKind, index: int, value: bytes | None = None) -> None:
-        # Checked here so no engine can fail mid-batch on a mistyped op, past
-        # the reach of its rollback.
+        # Checked here so no mistyped op reaches an engine, whose write pass,
+        # run once every op has passed its checks, could fail on it half done.
         _check_index_type(index)
         if kind is OP_REMOVE:
             if value is not None:
@@ -313,11 +313,12 @@ def member_verify(
 ) -> bool:
     """Fold a leaf value up through the witness siblings and compare to root.
 
-    Pure function of its arguments that never raises: a malformed witness or
-    value verifies false. That covers a leaf index that is not an int (or is
-    a bool) or lies outside [0, 2^depth), siblings that are not a tuple or
-    list of `depth` digests of the scheme's size, and a value that is not
-    bytes.
+    Pure function of its arguments that never raises: a malformed depth,
+    witness or value verifies false. That covers a depth that is not an int
+    (or is a bool) or lies outside [1, MAX_DEPTH], a leaf index that is not
+    an int (or is a bool) or lies outside [0, 2^depth), siblings that are not
+    a tuple or list of `depth` digests of the scheme's size, and a value that
+    is not bytes.
 
     The default payload's leaf digest is the first entry of the scheme's
     `empty_chain`, and while every sibling so far is the empty digest of its
@@ -327,7 +328,9 @@ def member_verify(
     """
     index, siblings = witness.leaf_index, witness.siblings
     if (
-        not _is_index(index)
+        not _is_index(depth)
+        or not 1 <= depth <= MAX_DEPTH
+        or not _is_index(index)
         or not 0 <= index < 1 << depth
         or not isinstance(siblings, (tuple, list))
         or len(siblings) != depth

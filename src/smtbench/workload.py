@@ -488,14 +488,14 @@ def gen_synthetic_blocks(
 
 
 def _tx_to_json_fields(tx: TxRecord) -> str:
-    parts = [f'"type": "{tx.tx_type.value}"']
+    fields: dict[str, object] = {"type": tx.tx_type.value}
     if tx.from_account is not None:
-        parts.append(f'"from": {tx.from_account}')
+        fields["from"] = tx.from_account
     if tx.to_account is not None:
-        parts.append(f'"to": {tx.to_account}')
-    parts.append(f'"token": {tx.token_id}')
-    parts.append(f'"amount": "{tx.amount}"')
-    return "{" + ", ".join(parts) + "}"
+        fields["to"] = tx.to_account
+    fields["token"] = tx.token_id
+    fields["amount"] = str(tx.amount)
+    return json.dumps(fields)
 
 
 def serialize_block_traces(blocks: Iterable[BlockTrace]) -> str:

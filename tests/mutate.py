@@ -10,9 +10,10 @@ of the checkout, never into the checkout: pytest's `pythonpath` setting
 imports the package from the `src/` beside the tests, so the copy holds both.
 
 The unmutated copy's suite must pass first, with `smtbench` imported from
-the copy. Each mutant then runs the suite with `-x` and fixed hash and
-Hypothesis seeds; it is killed when a test fails or the suite outlives a
-timeout taken from the clean run (some mutants loop forever). One line per
+the copy. Each mutant then runs the suite, less the timing assertion of
+acceptance C08, with `-x` and fixed hash and Hypothesis seeds; it is killed
+when a test fails or the suite outlives a timeout taken from the clean run
+(some mutants loop forever). One line per
 mutant gives its id (`file:function:line:operator:n`), the verdict and the
 first failing test, then the totals, so two runs compare with `diff`.
 """
@@ -52,12 +53,14 @@ FLIPS = {
 # The suite runs in-process so the clean run can report where the tests
 # imported smtbench from. Hypothesis keeps no example database, so no mutant
 # replays an earlier one's failures, and no deadline, so no mutant is killed
-# by a slow machine.
+# by a slow machine. Acceptance C08 is left out for the same reason: it
+# asserts a timing outcome, so a verdict resting on it would depend on load.
 PYTEST = """\
 import sys, pytest, hypothesis
 hypothesis.settings.register_profile("mutate", database=None, deadline=None)
 hypothesis.settings.load_profile("mutate")
-code = pytest.main(["-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"])
+code = pytest.main(["-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                    "--deselect", "tests/test_acceptance.py::test_c08_macro_trend_hot_and_dispersed"])
 print("smtbench imported from", getattr(sys.modules.get("smtbench"), "__file__", None))
 sys.exit(code)
 """

@@ -91,16 +91,17 @@ def test_c02_traversal_halving_exact_counts():
 
 
 def test_c03_hash_work_equality_with_ancestor_oracle():
-    """200 random cases: identical hash counts across engines, equal to
-    distinct written leaves plus the brute-force ancestor union."""
+    """200 random cases: identical hash counts across engines, equal to the
+    touched leaves present after the batch plus the brute-force ancestor
+    union."""
     rng = random.Random(0xC3)
     started = time.monotonic()
     for case in range(200):
         depth = rng.randrange(2, 9)
         initial, ops = random_case(rng, depth)
         touched = {op.index for op in ops}
-        written = {op.index for op in ops if op.kind.value != "remove"}
-        expect = len(written) + len(ancestor_union(depth, touched))
+        present = touched & final_leaves(initial, ops).keys()
+        expect = len(present) + len(ancestor_union(depth, touched))
         r_obu = batch_update(populated(depth, initial), ops)
         r_two = two_phase_update(populated(depth, initial), ops)
         assert r_obu.counters.hash_invocations == expect, f"case {case}"

@@ -276,8 +276,9 @@ def test_first_op_failure_names_index_zero(engine):
     ids=["float-index", "str-value", "str-index"],
 )
 def test_malformed_ops_never_reach_the_tree(engine, build, message):
-    # A mistyped op is refused when it is built: inside an engine it would
-    # fail with a TypeError mid-batch, which no rollback undoes.
+    # A mistyped op is refused when it is built: inside an engine a str value
+    # would pass the checks and fail with a TypeError in the write pass, half
+    # written.
     tree = populated(4, {1: b"a"})
     cache, leaves = dict(tree.cache), dict(tree.leaf_values)
     with pytest.raises(TypeError, match=message):
@@ -322,8 +323,9 @@ def has_reinsert_chain(ops) -> bool:
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
 def test_failed_random_batches_restore_pre_batch_state(engine):
-    # Each random batch gets one failing op appended, so every earlier op is
-    # unwound from the undo journal in reverse order.
+    # Each random batch gets one failing op appended, after every earlier op
+    # has passed its checks against the batch's own writes: none may reach
+    # the tree.
     rng = random.Random(0x5B)
     chains = 0
     for case in range(200):
@@ -360,9 +362,9 @@ def test_precondition_error_survives_pickling():
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
 def test_rollback_restores_a_non_canonical_leaf_digest(engine):
-    # The leaf phase touches the cache only after every op has passed its
-    # checks: a rollback that rehashed the old value would write
-    # hash_leaf(b"a"), not these planted bytes.
+    # The leaf phase writes only after every op has passed its checks: a
+    # failed batch that rewrote the old value would leave hash_leaf(b"a"),
+    # not these planted bytes.
     odd = bytes(range(32))
     tree = populated(4, {1: b"a"})
     tree.cache[(1 << 4) + 1] = odd
@@ -375,8 +377,9 @@ def test_rollback_restores_a_non_canonical_leaf_digest(engine):
 
 
 def test_sweep_first_level_carries_each_slots_last_write():
-    # Leaf 5 is inserted then removed, so its slot carries the default digest;
-    # leaf 1 is updated twice, so its slot carries the second digest.
+    # Leaf 5 is inserted then removed, so its slot carries the default digest
+    # and is never hashed; leaf 1 is updated twice, so its slot carries the
+    # second digest.
     tree = populated(4, {1: b"a"})
     ops = [
         LeafOperation.insert(5, b"x"),
@@ -388,7 +391,7 @@ def test_sweep_first_level_carries_each_slots_last_write():
     assert result.level_work_lists[0] == [(1 << 4) + 1, (1 << 4) + 5]
     assert result.new_root == naive_root(4, {1: b"c"})
     assert tree.cache == populated(4, {1: b"c"}).cache
-    assert result.counters.hash_invocations == 2 + len(ancestor_union(4, {1, 5}))
+    assert result.counters.hash_invocations == 1 + len(ancestor_union(4, {1, 5}))
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
@@ -411,12 +414,55 @@ def test_leaf_phase_hashes_each_dirty_slot_once(engine):
     assert result.counters.hash_invocations == 1 + 6
     assert result.new_root == naive_root(6, {1: b"d"})
     hashed.clear()
-    # Counted, as the counters' convention says, but never hashed.
+    # Written and removed in one batch: never hashed, so not counted.
     result = engine(tree, [LeafOperation.insert(5, b"x"), LeafOperation.remove(5)])
     assert hashed == []
-    assert result.counters.hash_invocations == 1 + len(ancestor_union(6, {5}))
+    assert result.counters.hash_invocations == len(ancestor_union(6, {5}))
     assert result.new_root == naive_root(6, {1: b"d"})
     check_consistency(tree)
+
+
+def has_write_then_remove(ops) -> bool:
+    """Whether some index gets a value and is then removed, in order."""
+    valued: set[int] = set()
+    for op in ops:
+        if op.value is not None:
+            valued.add(op.index)
+        elif op.index in valued:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_hash_invocations_count_the_hasher_calls(engine):
+    # The counter is the number of node and leaf hashes the engine made, also
+    # for slots written and then removed in one batch, which are never hashed.
+    scheme = HashScheme()
+    node, leaf = scheme.hasher
+    calls = []
+
+    def counted_node(left: bytes, right: bytes) -> bytes:
+        calls.append("node")
+        return node(left, right)
+
+    def counted_leaf(payload: bytes) -> bytes:
+        calls.append("leaf")
+        return leaf(payload)
+
+    object.__setattr__(scheme, "hasher", BoundHasher(counted_node, counted_leaf))
+    rng = random.Random(0x4C)
+    chains = removed_writes = 0
+    for case in range(200):
+        depth = rng.randrange(2, 9)
+        initial, ops = random_case(rng, depth)
+        tree = gen(depth, scheme)
+        tree.commit(initial)
+        calls.clear()
+        result = engine(tree, ops)
+        assert result.counters.hash_invocations == len(calls), f"case {case}"
+        chains += has_reinsert_chain(ops)
+        removed_writes += has_write_then_remove(ops)
+    assert chains > 0 and removed_writes > 0
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
@@ -477,7 +523,7 @@ def test_engines_take_tree_and_ops_only(engine):
 # timings, the sweep's work lists, final caches and leaves, and each
 # rejection's op index, cause class and message. Any change to what the
 # engines compute or reject moves it.
-_EQUIVALENCE_DIGEST = "47d46a7d91ffb4aad0c3e4da0bc19cf40e7c17e9cc539d440e41df31c5736c20"
+_EQUIVALENCE_DIGEST = "fa2d52cdccfc3bf571734dd75f3578557ad8ffd35c888de9cfdbfc6c0007762a"
 
 
 def _spliced_case(rng: random.Random):

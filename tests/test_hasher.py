@@ -27,6 +27,10 @@ NODE_AB = bytes.fromhex("b137985ff484fb600db93107c77b0365c80d78f5b429ded0fd97361
 NODE_BA = bytes.fromhex("8af01af409f78be71c0de3efd008ef3f00d5415f36c3d7ab59abcc491dc1cf39")
 EMPTY_ROOT_24 = bytes.fromhex("8d6446d4c64ee7ebb1221fed67e95b054036fa2076e31142638b7348e875adc7")
 ADV_LEAF_OF_CONCAT = bytes.fromhex("8caadc8a584ea884ef39e2831102f201c4520c2041d49eca38a98c5a7c69aae1")
+# The slow scheme's digests: SHA-256 over the tagged preimage, then 63 more
+# rounds, each over the digest before it.
+SLOW_LEAF_A = bytes.fromhex("26927ecddd820f8c4ce9afbd9cfe0797692b4923b794ad76e599bdf3bc50954d")
+SLOW_EMPTY_HEIGHT_1 = bytes.fromhex("2bf1dc19fc574626eff973f05b9caa425df97d25bc50b1b26e77e9995348354d")
 
 
 def test_hash_leaf_empty_payload_golden():
@@ -110,6 +114,11 @@ def test_domain_separation_on_adversarial_payload():
 def test_scheme_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
         HashScheme(**args)
+
+
+def test_slow_scheme_goldens():
+    assert hash_leaf(SLOW_SCHEME, b"a") == SLOW_LEAF_A
+    assert SLOW_SCHEME.empty_chain[1] == SLOW_EMPTY_HEIGHT_1
 
 
 def test_slow_scheme_is_a_distinct_function():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from smtbench.batch import OBU, TWO_PHASE, BatchPreconditionError, batch_update, two_phase_update
 from smtbench.hasher import DEFAULT_PAYLOAD, DEFAULT_SCHEME, SLOW_SCHEME, BoundHasher, HashScheme, hash_leaf, hash_node
 from smtbench.smt_core import (
+    MAX_DEPTH,
     ConfigError,
     ConsistencyError,
     DefaultPayloadError,
@@ -265,6 +266,33 @@ def test_member_verify_rejects_mistyped_input():
     first, rest = absence.siblings[0], absence.siblings[1:]
     for sibling in (first.hex()[:32], bytearray(first), memoryview(first)):
         assert not non_member_verify(root, Witness(2, (sibling,) + rest), 8)
+
+
+@pytest.mark.parametrize("value", [b"a", DEFAULT_PAYLOAD], ids=["member", "non-member"])
+@pytest.mark.parametrize(
+    "depth, length",
+    [(64, 64), (-1, 0), (0, 0), (True, 1), (24.0, 24), ("3", 3)],
+    ids=["64", "minus-1", "0", "True", "24.0", "str-3"],
+)
+def test_verify_rejects_a_bad_depth(value, depth, length):
+    # Each witness folds to its root, so only the depth is wrong. Before the
+    # depth was checked, 64 raised IndexError on the absence path and
+    # verified a membership, -1 raised ValueError, 24.0 and "3" raised
+    # TypeError, and 0 and True verified.
+    siblings = DEFAULT_SCHEME.empty_chain[:length]
+    root = fold_witness(0, siblings, value)[-1]
+    witness = Witness(0, siblings)
+    assert not member_verify(root, witness, value, depth)
+    if value == DEFAULT_PAYLOAD:
+        assert not non_member_verify(root, witness, depth)
+
+
+@pytest.mark.parametrize("depth", [1, MAX_DEPTH])
+def test_verify_accepts_the_boundary_depths(depth):
+    tree = build(depth, {0: b"x"})
+    root = tree.root()
+    assert member_verify(root, tree.member_witness_create(0), b"x", depth)
+    assert non_member_verify(root, tree.member_witness_create(1), depth)
 
 
 # -- the default payload ----------------------------------------------------------
