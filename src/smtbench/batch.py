@@ -206,13 +206,15 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
 def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResult:
     """Baseline engine: phase 1 charges a full root-to-leaf traversal for
     every operation (the benchmark system's O(log n) update) and marks the
-    path stale; phase 2 recursively rehashes stale paths top-down."""
+    path stale; phase 2 recursively rehashes stale paths top-down. The
+    recursion counts nothing: its visits and hashes follow from the stale set
+    once it returns."""
     counters = CounterSet()
     if not ops:
         return BatchResult(tree.root(), counters)
 
     started = time.perf_counter_ns()
-    counters.hash_invocations = _write_leaves(tree, ops)[1]  # the leaf hashes
+    dirty, hashed_leaves = _write_leaves(tree, ops)
     leaf_base = tree.capacity
     stale: set[int] = set()
     mark = stale.add
@@ -225,31 +227,30 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    new_root = _rehash_recursive(tree, 1, stale, counters)
+    new_root = _rehash_recursive(tree, 1, stale)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
+    # Every stale node's parent is stale, so the recursion entered the root
+    # and both children of each stale internal node, and hashed each of those
+    # once; the stale leaves are exactly the dirty slots.
+    rehashed = len(stale) - len(dirty)
+    counters.node_visits += 1 + 2 * rehashed
+    counters.hash_invocations = hashed_leaves + rehashed
     counters.levels_processed = tree.depth
     return BatchResult(new_root, counters)
 
 
-def _rehash_recursive(
-    tree: SparseMerkleTree,
-    node: int,
-    stale: set[int],
-    counters: CounterSet,
-) -> bytes:
-    counters.node_visits += 1  # the recursion entered this node
+def _rehash_recursive(tree: SparseMerkleTree, node: int, stale: set[int]) -> bytes:
     if node not in stale:
         return tree.resolve(node)
     level = level_of(node)
     if level == tree.depth:
         # Leaf digest was written (or pruned away) in phase 1.
         return tree.resolve(node)
-    left = _rehash_recursive(tree, 2 * node, stale, counters)
-    right = _rehash_recursive(tree, 2 * node + 1, stale, counters)
+    left = _rehash_recursive(tree, 2 * node, stale)
+    right = _rehash_recursive(tree, 2 * node + 1, stale)
     digest = tree.scheme.hasher.node(left, right)
     if digest == tree.defaults[level]:
         tree.cache.pop(node, None)
     else:
         tree.cache[node] = digest
-    counters.hash_invocations += 1
     return digest

@@ -98,6 +98,8 @@ def test_decode_rejects_zero_balance():
         (Account(0, 2**64 - 1, b"\x00" * 20, {2**16: 1}), "^token id 65536"),
         (Account(0, 0, b"\x00" * 20, {2**16 - 1: 2**128}), f"^amount {2**128} for token 65535"),
         (Account(0, 0, b"\x00" * 20, {0: 2**128 - 1, 1: 0}), "^amount 0 for token 1"),
+        # Packing fails with every field in range: the account as a whole is named.
+        (Account(7, 1.5), "^account 7 does not encode$"),
     ],
 )
 def test_encode_error_names_the_bad_field(account, message):

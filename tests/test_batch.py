@@ -465,6 +465,31 @@ def test_hash_invocations_count_the_hasher_calls(engine):
     assert chains > 0 and removed_writes > 0
 
 
+def test_baseline_hash_phase_visits_are_its_recursive_entries(monkeypatch):
+    # The recursion counts nothing; the visits derived from the stale set must
+    # still be one per node it enters.
+    entries = []
+    rehash = batch._rehash_recursive
+
+    def entering(tree, node, stale):
+        entries.append(node)
+        return rehash(tree, node, stale)
+
+    monkeypatch.setattr(batch, "_rehash_recursive", entering)
+    rng = random.Random(0x5E)
+    removals = rewrites = 0
+    for case in range(200):
+        depth = rng.randrange(1, 9)
+        initial, ops = random_case(rng, depth)
+        tree = populated(depth, initial)
+        entries.clear()
+        c = two_phase_update(tree, ops).counters
+        assert len(entries) == c.node_visits - c.leaf_phase_visits, f"case {case}"
+        removals += any(op.value is None for op in ops)
+        rewrites += len({op.index for op in ops}) < len(ops)
+    assert removals > 0 and rewrites > 0
+
+
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
 def test_engines_write_leaves_once_per_nonempty_batch(engine, monkeypatch):
     calls = []

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -201,6 +202,17 @@ def test_engines_alternate_in_pairs_with_gc_off(monkeypatch):
     ]
 
 
+def test_bench_point_rejects_diverged_roots(monkeypatch):
+    obu = bench.ENGINES[OBU]
+
+    def wrong_root(tree, ops):
+        return dataclasses.replace(obu(tree, ops), new_root=bytes(32))
+
+    monkeypatch.setitem(bench.ENGINES, OBU, wrong_root)
+    with pytest.raises(RuntimeError, match=f"^engine roots diverged: .*{OBU}={bytes(32).hex()}$"):
+        run_micro("seq-update", (4,), depth=6, runs=1)
+
+
 def test_bench_point_leaves_gc_as_the_caller_had_it():
     gc.disable()
     try:
@@ -222,6 +234,9 @@ def test_environment_note_names_the_checked_out_commit(tmp_path):
     assert f", git {sha}, " in bench._environment_note(tmp_path)
     (git / "HEAD").write_text(sha[::-1] + "\n")  # detached
     assert f", git {sha[::-1]}, " in bench._environment_note(tmp_path)
+    # A ref neither loose nor packed: no other ref's SHA stands in for it.
+    (git / "HEAD").write_text("ref: refs/heads/gone\n")
+    assert bench._git_sha(tmp_path) is None
 
 
 def test_environment_note_outside_a_checkout(tmp_path):

@@ -458,6 +458,51 @@ def test_consistency_walker_detects_corruption():
         check_consistency(tree)
 
 
+def _out_of_range(tree):
+    tree.cache[1 << (tree.depth + 1)] = bytes(32)
+
+
+def _pruned_parent(tree):
+    del tree.cache[8]
+
+
+def _pruned_root(tree):
+    del tree.cache[1]
+
+
+def _default_sibling(tree):
+    tree.cache[9] = tree.defaults[3]
+
+
+def _absent_leaf(tree):
+    tree.cache[16] = tree.defaults[4]
+
+
+def _stale_leaf_value(tree):
+    tree.leaf_values[1] = b"b"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_out_of_range, "cache key 32 out of heap range"),
+        (_pruned_parent, "node 17 cached under pruned parent 8"),
+        (_pruned_root, "node 2 cached under pruned parent 1"),
+        (_default_sibling, "default digest cached at 9"),
+        (_absent_leaf, "leaf digest cached for absent leaf 0"),
+        (_stale_leaf_value, "leaf 1 digest missing or stale"),
+    ],
+    ids=["out_of_range", "pruned_parent", "pruned_root", "default_sibling", "absent_leaf", "stale_leaf_value"],
+)
+def test_consistency_walker_names_each_broken_rule(corrupt, message):
+    # One leaf at depth 4: the cache holds leaf 17 and its path 8, 4, 2, 1.
+    tree = build(4, {1: b"a"})
+    check_consistency(tree)
+    corrupt(tree)
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        check_consistency(tree)
+
+
 def test_consistency_error_survives_optimize():
     # Under `python -O` asserts vanish; the walker must still raise.
     code = (

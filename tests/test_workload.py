@@ -109,6 +109,11 @@ def test_unresolved_reference_rejected():
         tx_to_leaf_ops(TxRecord(TxType.TRANSFER, 1, 2, 0, 1), funded_book(1))
 
 
+def test_block_trace_requires_a_transaction():
+    with pytest.raises(TraceValidationError, match=r"^block 3 has no transactions$"):
+        BlockTrace(3, ())
+
+
 def test_tx_record_requires_role_fields():
     with pytest.raises(TraceValidationError):
         TxRecord(TxType.TRANSFER, 1, None, 0, 1)
@@ -513,6 +518,7 @@ def test_parse_error_reports_json_line():
         ('{"blocks": [{"block_number": 1, "txs": []}]}', "non-empty"),
         ('{"blocks": [{"block_number": "x", "txs": [1]}]}', "block_number"),
         ('{"nope": 1}', "blocks"),
+        ('{"blocks": [1]}', r"^blocks\[0\]: block must be an object$"),
         ('{"blocks": [{"block_number": 1, "txs": [{"type": "Deposit", "to": 1, "amount": "12x"}]}]}', "decimal"),
         ('{"blocks": [{"block_number": 1, "txs": [{"type": "Deposit", "to": -1}]}]}', "non-negative"),
         ('{"blocks": [{"block_number": 1, "txs": [{"type": "Withdraw", "to": 1}]}]}', "requires"),
