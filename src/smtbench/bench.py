@@ -20,7 +20,9 @@ from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
-from .batch import OBU, TWO_PHASE, BatchResult, batch_update, two_phase_update
+from .batch import (
+    OBU, TWO_PHASE, BatchPreconditionError, BatchResult, batch_update, two_phase_update,
+)
 from .smt_core import MAX_DEPTH, OP_INSERT, OP_UPDATE, LeafOperation, SparseMerkleTree, gen
 from .workload import (
     BlockTrace,
@@ -134,13 +136,15 @@ class BenchReport:
     stats: dict = field(default_factory=dict)
     environment: str = ""
 
-    def write_runs_csv(self, path: str | Path) -> None:
-        _write_csv(path, RUN_COLUMNS, self.rows)
-
-    def write_aggregates_csv(self, path: str | Path) -> None:
-        _write_csv(path, AGGREGATE_COLUMNS, self.aggregates)
-
-    def write_stats_json(self, path: str | Path) -> None:
+    def write(self, out: str | Path) -> tuple[Path, Path, Path]:
+        """Write the per-run CSV to `out` and, beside it, the aggregate CSV
+        (`<stem>_agg.csv`, keeping any other suffix) and the stats JSON
+        (`<stem>_stats.json`); return the three paths."""
+        out = Path(out)
+        agg = out.with_name(out.stem + "_agg" + (out.suffix or ".csv"))
+        stats = out.with_name(out.stem + "_stats.json")
+        _write_csv(out, RUN_COLUMNS, self.rows)
+        _write_csv(agg, AGGREGATE_COLUMNS, self.aggregates)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
@@ -148,17 +152,8 @@ class BenchReport:
             "environment": self.environment,
             "stats": self.stats,
         }
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def aggregate_path(out: str | Path) -> Path:
-    out = Path(out)
-    return out.with_name(out.stem + "_agg" + (out.suffix or ".csv"))
-
-
-def stats_path(out: str | Path) -> Path:
-    out = Path(out)
-    return out.with_name(out.stem + "_stats.json")
+        stats.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        return out, agg, stats
 
 
 def _git_sha(root: Path) -> str | None:
@@ -225,7 +220,7 @@ def _bench_point(
         order.reverse()
     if len({result.new_root for result in results.values()}) > 1:
         raise RuntimeError(
-            "engine roots diverged: "
+            f"engine roots diverged at {report.workload} k={k}: "
             + ", ".join(f"{name}={r.new_root.hex()}" for name, r in results.items())
         )
     means = {engine: statistics.fmean(walls) for engine, walls in times.items()}
@@ -325,7 +320,10 @@ def run_macro(
     percents: list[float] = []
     reductions_ns: list[float] = []
     for block, ops in replay_blocks(blocks, book):
-        means, pct, tree = _bench_point(report, depth, runs, block.block_number, tree, ops)
+        try:
+            means, pct, tree = _bench_point(report, depth, runs, block.block_number, tree, ops)
+        except BatchPreconditionError as exc:
+            raise BenchConfigError(f"block {block.block_number}: {exc}") from exc
         percents.append(pct)
         reductions_ns.append(means[TWO_PHASE] - means[OBU])
 

@@ -1,8 +1,8 @@
 """smt-bench: benchmark driver for the two root-hash engines.
 
 Subcommands: `micro` (synthetic leaf-operation sweeps), `macro` (block-trace
-replay), and `gen-fixture` (deterministic trace files). Reports are CSV (one
-per-run file and one aggregate file) plus a JSON stats sidecar for macro runs.
+replay), and `gen-fixture` (deterministic trace files). Each run writes a
+per-run CSV, an aggregate CSV and a JSON stats file.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -11,16 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    FILTER_MODES,
-    FIXTURE_KINDS,
-    MICRO_WORKLOADS,
-    aggregate_path,
-    gen_fixture,
-    run_macro,
-    run_micro,
-    stats_path,
-)
+from .bench import FILTER_MODES, FIXTURE_KINDS, MICRO_WORKLOADS, gen_fixture, run_macro, run_micro
 from .smt_core import SmtError
 
 
@@ -37,7 +28,8 @@ def _parse_k_sweep(raw: str) -> tuple[int, ...]:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--depth", type=int, default=24, help="tree depth (default 24)")
     sub.add_argument("--runs", type=int, default=10, help="timed runs per engine (default 10)")
-    sub.add_argument("--out", required=True, help="per-run CSV path; aggregate CSV lands beside it")
+    sub.add_argument("--out", required=True,
+                     help="per-run CSV path; the aggregate CSV and stats JSON land beside it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,27 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(report, out: str) -> None:
-    report.write_runs_csv(out)
-    report.write_aggregates_csv(aggregate_path(out))
-    print(f"wrote {out} and {aggregate_path(out)}")
-
-
 def _cmd_micro(args: argparse.Namespace) -> int:
     report = run_micro(
         args.workload, args.k_sweep, depth=args.depth, runs=args.runs, seed=args.seed
     )
-    _write_report(report, args.out)
-    for k, pct in report.stats.get("percent_decrease_by_k", {}).items():
+    print("wrote " + ", ".join(map(str, report.write(args.out))))
+    for k, pct in report.stats["percent_decrease_by_k"].items():
         print(f"k={k}: percent_decrease={'n/a' if pct is None else f'{pct:+.2f}%'}")
     return 0
 
 
 def _cmd_macro(args: argparse.Namespace) -> int:
     report = run_macro(args.trace, args.filter, depth=args.depth, runs=args.runs)
-    _write_report(report, args.out)
-    report.write_stats_json(stats_path(args.out))
-    print(f"wrote {stats_path(args.out)}")
+    print("wrote " + ", ".join(map(str, report.write(args.out))))
     pct = report.stats.get("percent_decrease")
     if pct:
         print(

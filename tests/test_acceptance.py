@@ -308,6 +308,7 @@ def test_c10_cli_contract(tmp_path, repo_root):
         for row in rows[1:]:
             by_point.setdefault((row[0], row[1]), set()).add(row[root])
         assert all(len(roots) == 1 for roots in by_point.values())
+    assert (tmp_path / "micro_stats.json").exists()
     assert (tmp_path / "macro_stats.json").exists()
     elapsed = time.monotonic() - started
     assert elapsed < 300.0, f"took {elapsed:.1f}s"

@@ -235,7 +235,7 @@ def test_batch_composition(engine, initial, batches, final):
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
-def test_failed_batch_rolls_back(engine):
+def test_failed_batch_leaves_tree_as_it_was(engine):
     tree = populated(5, {1: b"a", 2: b"b"})
     cache = dict(tree.cache)
     leaves = dict(tree.leaf_values)
@@ -322,7 +322,7 @@ def has_reinsert_chain(ops) -> bool:
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
-def test_failed_random_batches_restore_pre_batch_state(engine):
+def test_failed_random_batches_leave_tree_as_it_was(engine):
     # Each random batch gets one failing op appended, after every earlier op
     # has passed its checks against the batch's own writes: none may reach
     # the tree.
@@ -361,7 +361,7 @@ def test_precondition_error_survives_pickling():
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
-def test_rollback_restores_a_non_canonical_leaf_digest(engine):
+def test_failed_batch_keeps_a_non_canonical_leaf_digest(engine):
     # The leaf phase writes only after every op has passed its checks: a
     # failed batch that rewrote the old value would leave hash_leaf(b"a"),
     # not these planted bytes.

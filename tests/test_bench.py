@@ -16,12 +16,10 @@ from smtbench.bench import (
     MAX_RUNS,
     BenchConfigError,
     UndefinedMetricError,
-    aggregate_path,
     gen_fixture,
     percent_decrease,
     run_macro,
     run_micro,
-    stats_path,
 )
 from smtbench.cli import main
 from smtbench.smt_core import MAX_DEPTH, SparseMerkleTree
@@ -146,7 +144,7 @@ def test_empty_batch_reports_no_percent_decrease(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "k=0: percent_decrease=n/a" in lines
     assert any(line.startswith("k=1: percent_decrease=") and line.endswith("%") for line in lines)
-    header, *rows = read_csv(aggregate_path(out))
+    header, *rows = read_csv(tmp_path / "micro_agg.csv")
     pct = {(row[1], row[3]): row[header.index("percent_decrease")] for row in rows}
     assert pct[("0", OBU)] == pct[("0", TWO_PHASE)] == pct[("1", TWO_PHASE)] == ""
     assert pct[("1", OBU)] != ""
@@ -154,15 +152,13 @@ def test_empty_batch_reports_no_percent_decrease(tmp_path, capsys):
 
 def test_micro_csv_schema(micro_report, tmp_path):
     out = tmp_path / "report.csv"
-    micro_report.write_runs_csv(out)
-    micro_report.write_aggregates_csv(aggregate_path(out))
+    paths = micro_report.write(out)
+    assert [path.name for path in paths] == ["report.csv", "report_agg.csv", "report_stats.json"]
     runs = read_csv(out)
     assert tuple(runs[0]) == RUN_COLUMNS
     assert len(runs) == 1 + len(micro_report.rows)
-    agg = read_csv(aggregate_path(out))
+    agg = read_csv(paths[1])
     assert tuple(agg[0]) == AGGREGATE_COLUMNS
-    assert aggregate_path(out).name == "report_agg.csv"
-    assert stats_path(out).name == "report_stats.json"
 
 
 def test_schema_v2_columns():
@@ -209,7 +205,8 @@ def test_bench_point_rejects_diverged_roots(monkeypatch):
         return dataclasses.replace(obu(tree, ops), new_root=bytes(32))
 
     monkeypatch.setitem(bench.ENGINES, OBU, wrong_root)
-    with pytest.raises(RuntimeError, match=f"^engine roots diverged: .*{OBU}={bytes(32).hex()}$"):
+    message = f"^engine roots diverged at seq-update k=4: .*{OBU}={bytes(32).hex()}$"
+    with pytest.raises(RuntimeError, match=message):
         run_micro("seq-update", (4,), depth=6, runs=1)
 
 
@@ -259,11 +256,9 @@ TIMING_COLUMNS = {"wall_nanos", "mean_nanos", "median_nanos", "stddev_nanos", "p
 
 def non_timing_digest(report, tmp_path):
     """SHA-256 of both of `report`'s CSVs with the timing columns left out."""
-    out = tmp_path / "report.csv"
-    report.write_runs_csv(out)
-    report.write_aggregates_csv(aggregate_path(out))
+    runs_csv, agg_csv, _ = report.write(tmp_path / "report.csv")
     digest = hashlib.sha256()
-    for path in (out, aggregate_path(out)):
+    for path in (runs_csv, agg_csv):
         header, *rows = read_csv(path)
         keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
         for row in [header, *rows]:
@@ -320,9 +315,7 @@ def test_macro_roots_agree_per_block(small_trace):
 def test_macro_filter_mode(small_trace, tmp_path):
     report = run_macro(small_trace, "transfer-swap", depth=10, runs=1)
     assert report.workload == "macro-transfer-swap"
-    out = tmp_path / "macro.csv"
-    report.write_stats_json(stats_path(out))
-    doc = json.loads(stats_path(out).read_text())
+    doc = json.loads(report.write(tmp_path / "macro.csv")[2].read_text())
     assert doc["schema_version"] == SCHEMA_VERSION == 2
     assert "threads" not in doc
     assert doc["kind"] == "macro"

@@ -1,4 +1,6 @@
 import csv
+import json
+import platform
 import subprocess
 import sys
 
@@ -33,6 +35,28 @@ def test_micro_subcommand(tmp_path):
     assert read_header(out) == RUN_COLUMNS
     assert read_header(tmp_path / "micro_agg.csv") == AGGREGATE_COLUMNS
     assert "percent_decrease" in proc.stdout
+
+
+def test_micro_writes_stats_json(tmp_path, capsys, monkeypatch):
+    # Micro writes the same three files as macro; its stats JSON keeps the
+    # environment fingerprint and the per-k decrease.
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    monkeypatch.setattr(bench, "_git_sha", lambda root: sha)
+    out = tmp_path / "m.csv"
+    assert main(["micro", "--workload", "rand-update", "--k-sweep", "0,2", "--depth", "8",
+                 "--runs", "1", "--out", str(out)]) == 0
+    stats = tmp_path / "m_stats.json"
+    assert f"wrote {out}, {tmp_path / 'm_agg.csv'}, {stats}" in capsys.readouterr().out
+    doc = json.loads(stats.read_text())
+    assert doc["schema_version"] == 2
+    assert doc["kind"] == "micro"
+    assert doc["workload"] == "rand-update"
+    assert f"python {platform.python_version()}, " in doc["environment"]
+    assert f", git {sha}, " in doc["environment"]
+    by_k = doc["stats"]["percent_decrease_by_k"]
+    assert set(by_k) == {"0", "2"}
+    assert by_k["0"] is None
+    assert isinstance(by_k["2"], float)
 
 
 def test_macro_subcommand(tmp_path, repo_root):
@@ -87,11 +111,13 @@ def test_usage_errors_exit_one():
     assert main([]) == 1
 
 
-def test_bad_k_sweep_exits_one(tmp_path):
-    assert main([
-        "micro", "--workload", "seq-update", "--k-sweep", "ten",
-        "--out", str(tmp_path / "x.csv"),
-    ]) == 1
+def test_bad_k_sweep_exits_one(tmp_path, capsys):
+    for sweep, message in [("ten", "comma-separated integers"), (",", "k sweep is empty")]:
+        assert main([
+            "micro", "--workload", "seq-update", "--k-sweep", sweep,
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -161,3 +187,20 @@ def test_macro_replay_error_names_block_and_tx(tmp_path):
     proc = run_cli("macro", "--trace", str(trace), "--runs", "1", "--out", str(tmp_path / "o.csv"))
     assert proc.returncode == 1
     assert "error: block 3 tx 2 (Swap): account 9 token 2: 0 + -7 < 0" in proc.stderr
+
+
+def test_macro_rejected_op_names_its_block(tmp_path, capsys):
+    # Account 300 lies outside a depth-8 tree, so both engines reject the
+    # block's only op; the error says which block, not only which op.
+    trace = tmp_path / "outside.json"
+    trace.write_text(
+        '{"blocks": [{"block_number": 7, "txs": ['
+        '{"type": "Deposit", "to": 300, "token": 0, "amount": "5"}]}]}'
+    )
+    out = tmp_path / "o.csv"
+    assert main(["macro", "--trace", str(trace), "--depth", "8", "--runs", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: block 7: operation 0 rejected: leaf index 300 outside [0, 256) at depth 8\n"
+    )
+    assert not out.exists()
