@@ -1,14 +1,14 @@
 """The two root-hash engines.
 
 `batch_update` is the one-phase engine: write every leaf, charging O(1) per
-update or remove and O(log n) per insert, then sweep the dirty nodes level
-by level bottom-up until the root is rewritten. The sweep carries each
-level's fresh digests up with its ascending node list: adjacent siblings 2p
-and 2p+1 hash from the carried digests, a lone dirty child reads only its
-clean sibling from the cache, and each level's parents come out ascending
-and duplicate-free. Once one dirty node is left, above the paths' last
-merge, the sweep climbs its path alone, one hash per level, and returns the
-root digest it computed. Each affected path is walked once.
+update or remove and the cost model's O(log n) per insert, whose path the
+leaf phase never reads, then sweep the dirty nodes bottom-up level by level
+to the root. The sweep carries each level's fresh digests up with its
+ascending node list: adjacent siblings 2p and 2p+1 hash from the carried
+digests, a lone dirty child reads only its clean sibling from the cache, and
+each level's parents come out ascending and duplicate-free. Above the paths'
+last merge the one dirty node left climbs alone, one hash per level, and the
+sweep returns the root digest it computed. Each affected path is walked once.
 
 `two_phase_update` is the baseline it is measured against: a full root-to-leaf
 traversal per operation to mutate the leaf, then a recursive top-down rehash
@@ -118,32 +118,27 @@ def _write_leaves(
 
 def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResult:
     """One-phase engine: a leaf phase charging one visit per update or
-    remove and `depth` per insert, then a bottom-up level sweep carrying fresh
-    digests and rehashing exactly the dirty nodes. The level loop runs while
-    two or more dirty nodes are left; from the last one the sweep climbs
-    alone to the root, whose digest it returns as `new_root`. A failing op
-    leaves the tree untouched."""
+    remove and `depth` per insert, for a path it never reads, then a
+    bottom-up level sweep carrying fresh digests and rehashing exactly the
+    dirty nodes. The level loop runs while two or more dirty nodes are left;
+    from the last one the sweep climbs alone to the root, whose digest it
+    returns as `new_root`. A failing op leaves the tree untouched."""
     counters = CounterSet()
     if not ops:
         return BatchResult(tree.root(), counters, [])
 
     started = time.perf_counter_ns()
     written, hashed_leaves = _write_leaves(tree, ops)
-    cache, depth, leaf_base = tree.cache, tree.depth, tree.capacity
+    depth = tree.depth
     inserts = 0
     for op in ops:
         if op.kind is OP_INSERT:
             inserts += 1
-            parent = (leaf_base + op.index) >> 1
-            while parent > 1:  # read-only probes: an insert stays O(log n) lookups
-                parent in cache
-                parent >>= 1
-    visits = len(ops) + (depth - 1) * inserts
-    counters.leaf_phase_visits = visits
+    counters.leaf_phase_visits = visits = len(ops) + (depth - 1) * inserts
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    defaults = tree.defaults
+    cache, defaults = tree.cache, tree.defaults
     node_hash, get = tree.scheme.hasher.node, cache.get
     # The dirty leaf slots are the schedule's first level; each level below
     # appends its parents, bottom-up. A removed leaf carries the default digest.

@@ -266,6 +266,8 @@ def run_micro(
     _check_sizes(depth, runs)
     if any(k < 0 for k in k_sweep):
         raise BenchConfigError("k values must be non-negative")
+    if len(set(k_sweep)) < len(k_sweep):  # one point per k, as `percent_decrease_by_k` keys them
+        raise BenchConfigError("k values must be distinct")
     if max(k_sweep, default=0) > MAX_BATCH_OPS:
         raise BenchConfigError(f"k {max(k_sweep)} exceeds MAX_BATCH_OPS={MAX_BATCH_OPS}")
     if workload not in MICRO_WORKLOADS:

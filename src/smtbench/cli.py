@@ -16,13 +16,13 @@ from .smt_core import SmtError
 
 
 def _parse_k_sweep(raw: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in raw.split(",") if part)
+    parts = raw.split(",")
+    if not any(parts):
+        raise argparse.ArgumentTypeError("k sweep is empty")
+    try:  # an empty part among others, as in `1,,2` or `1,`, is no integer either
+        return tuple(int(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"k sweep must be comma-separated integers, got {raw!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("k sweep is empty")
-    return values
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -12,13 +12,15 @@ class CounterSet:
 
     node_visits follows the library's visit convention: one visit is one
     cache lookup-or-write on a node index performed by the operation's own
-    control flow. hash_invocations counts the hasher calls the engine makes:
-    one leaf hash per slot that holds a value after the batch (however often
-    it was rewritten) plus one node hash per ancestor rehashed. Neither
-    engine writes a counter per node it visits: `obu` derives its counts from
-    its work lists, and the baseline from its stale set, charging its hash
-    phase `1 + 2·I` visits for `I` rehashed ancestors. Wall times are
-    nanoseconds; they are excluded from determinism comparisons.
+    control flow, save that an `obu` insert is charged its path's `depth`
+    visits, the cost model's O(log n), though its leaf phase reads no
+    ancestor: the sweep hashes and writes that path. hash_invocations counts
+    the hasher calls the engine makes: one leaf hash per slot that holds a
+    value after the batch (however often it was rewritten) plus one node hash
+    per ancestor rehashed. Neither engine writes a counter per node it visits:
+    `obu` derives its counts from its work lists, the baseline from its stale
+    set, charging its hash phase `1 + 2·I` visits for `I` rehashed ancestors.
+    Wall times are nanoseconds, excluded from determinism comparisons.
     """
 
     node_visits: int = 0

@@ -15,7 +15,9 @@ acceptance C08, with `-x` and fixed hash and Hypothesis seeds; it is killed
 when a test fails or the suite outlives a timeout taken from the clean run
 (some mutants loop forever). One line per
 mutant gives its id (`file:function:line:operator:n`), the verdict and the
-first failing test, then the totals, so two runs compare with `diff`.
+first failing test, then the totals, so two runs compare with `diff`. The
+last run's sorted verdict lines are kept beside this file, made with
+`python tests/mutate.py | grep -E ' (killed|survived)' | sort > tests/mutation_verdicts.txt`.
 """
 
 from __future__ import annotations

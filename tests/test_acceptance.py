@@ -76,7 +76,7 @@ def test_c02_traversal_halving_exact_counts():
     assert r_two.counters.leaf_phase_visits == 2400
     assert elapsed < 1.0
     # k distinct inserts cost `depth` visits each in both engines: the one-phase
-    # leaf write plus its read-only probes, or the baseline's full traversal.
+    # cost model's O(log n) charge per insert, or the baseline's full traversal.
     inserts = [LeafOperation.insert(i * 7 + 3, bytes([i, 2])) for i in range(k)]
     r_obu = batch_update(tree.clone(), inserts)
     r_two = two_phase_update(tree.clone(), inserts)

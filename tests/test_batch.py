@@ -517,14 +517,16 @@ class _ProbeCounter(dict):
         return super().__contains__(key)
 
 
-def test_obu_probes_ancestors_for_inserts_only():
+def test_obu_charges_inserts_without_probing_ancestors():
+    # An insert is charged `depth` visits, but no ancestor is read before the
+    # sweep, which hashes and writes the path anyway.
     depth = 8
     tree = populated(depth, {1: b"a", 2: b"b"})
     tree.cache = _ProbeCounter(tree.cache)
     ops = [LeafOperation.insert(5, b"x"), LeafOperation.update(1, b"c"),
            LeafOperation.insert(200, b"y"), LeafOperation.remove(2)]
     result = batch_update(tree, ops)
-    assert tree.cache.probes == 2 * (depth - 1)
+    assert tree.cache.probes == 0
     assert result.counters.leaf_phase_visits == len(ops) + 2 * (depth - 1)
     tree.cache.probes = 0
     batch_update(tree, [LeafOperation.update(5, b"z"), LeafOperation.remove(200)])

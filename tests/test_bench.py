@@ -63,6 +63,7 @@ def test_config_rejects_bad_values(tmp_path, monkeypatch):
     for call, message in [
         (lambda: run_micro("rand-update", runs=0), "MAX_RUNS"),
         (lambda: run_micro("rand-update", (-1,)), "k values must be non-negative"),
+        (lambda: run_micro("rand-update", (4, 2, 4)), "k values must be distinct"),
         (lambda: run_micro("hot-loop"), "unknown micro workload 'hot-loop'"),
         (lambda: run_macro(trace, "swap-only"), "unknown filter mode 'swap-only'"),
         (lambda: run_macro(trace, runs=0), "MAX_RUNS"),

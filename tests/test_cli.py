@@ -112,7 +112,8 @@ def test_usage_errors_exit_one():
 
 
 def test_bad_k_sweep_exits_one(tmp_path, capsys):
-    for sweep, message in [("ten", "comma-separated integers"), (",", "k sweep is empty")]:
+    for sweep, message in [("ten", "comma-separated integers"), (",", "k sweep is empty"),
+                           ("1,,2", "comma-separated integers"), ("1,", "comma-separated integers")]:
         assert main([
             "micro", "--workload", "seq-update", "--k-sweep", sweep,
             "--out", str(tmp_path / "x.csv"),

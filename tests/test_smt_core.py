@@ -85,7 +85,7 @@ def test_leaf_precondition_rejected_by_engine(engine, case):
 @pytest.mark.parametrize(
     "op, visits",
     [
-        (LeafOperation.insert(0, b"a"), 4),  # the leaf write plus one probe per internal level
+        (LeafOperation.insert(0, b"a"), 4),  # `depth`: the charge for the leaf and its path
         (LeafOperation.update(5, b"y"), 1),
         (LeafOperation.remove(5), 1),
     ],
