@@ -137,14 +137,18 @@ class LeafOperation(FrozenValue):
     def __init__(self, kind: OpKind, index: int, value: bytes | None = None) -> None:
         # Checked here so no mistyped op reaches an engine, whose write pass,
         # run once every op has passed its checks, could fail on it half done.
-        _check_index_type(index)
+        # An exact int index and bytes value, the common case, pass on the
+        # class tests alone.
+        if index.__class__ is not int:
+            _check_index_type(index)
         if kind is OP_REMOVE:
             if value is not None:
                 raise ValueError("remove carries no value")
-        elif value is None:
-            raise ValueError(f"{kind.value} requires a value")
-        elif not isinstance(value, bytes):
-            raise TypeError(f"{kind.value} value must be bytes, got {type(value).__name__}")
+        elif value.__class__ is not bytes:
+            if value is None:
+                raise ValueError(f"{kind.value} requires a value")
+            if not isinstance(value, bytes):
+                raise TypeError(f"{kind.value} value must be bytes, got {type(value).__name__}")
         _set_kind(self, kind)
         _set_index(self, index)
         _set_value(self, value)

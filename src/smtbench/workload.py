@@ -24,7 +24,16 @@ from .account_model import (
     decode_account,
     encode_account,
 )
-from .smt_core import OP_REMOVE, FrozenValue, LeafOperation, LeafRangeError, OpKind
+from .smt_core import (
+    OP_INSERT,
+    OP_REMOVE,
+    OP_UPDATE,
+    FrozenValue,
+    LeafOperation,
+    LeafRangeError,
+    OpKind,
+    _is_index,
+)
 
 SEED_BALANCE = 10**30  # pre-seeded accounts can fund any synthetic flow
 _PAYLOAD_BYTES = 32
@@ -95,7 +104,9 @@ _NEEDS = {
 class TxRecord(FrozenValue):
     """One trace transaction. A frozen `__slots__` value, checked when it is
     built: its type's steps in `TX_STEPS` say which account fields it must
-    carry, and its amount may not be negative, which would run it backwards."""
+    carry, and its account indices, token id and amount must be ints (a bool
+    is not one) and not negative; a negative amount would run it backwards.
+    The trace parser reports these checks' messages as they are."""
 
     __slots__ = ("tx_type", "from_account", "to_account", "token_id", "amount")
 
@@ -113,11 +124,24 @@ class TxRecord(FrozenValue):
         token_id: int = 0,
         amount: int = 0,
     ) -> None:
+        # Each field is an exact int, or else an int that is not a bool.
+        if token_id.__class__ is not int and not _is_index(token_id) or token_id < 0:
+            raise TraceValidationError("'token' must be a non-negative integer")
+        if from_account is not None and (
+            from_account.__class__ is not int and not _is_index(from_account) or from_account < 0
+        ):
+            raise TraceValidationError("'from' must be a non-negative integer")
+        if to_account is not None and (
+            to_account.__class__ is not int and not _is_index(to_account) or to_account < 0
+        ):
+            raise TraceValidationError("'to' must be a non-negative integer")
         needs_from, needs_to = _NEEDS[tx_type]
         if needs_from and from_account is None:
             raise TraceValidationError(f"{tx_type.value} requires a from account")
         if needs_to and to_account is None:
             raise TraceValidationError(f"{tx_type.value} requires a to account")
+        if amount.__class__ is not int and not _is_index(amount):
+            raise TraceValidationError(f"amount must be an integer, got {type(amount).__name__}")
         if amount < 0:
             raise TraceValidationError(f"amount must be non-negative, got {amount}")
         _set_tx_type(self, tx_type)
@@ -202,7 +226,7 @@ def tx_to_leaf_ops(tx: TxRecord, book: AccountBook) -> list[LeafOperation]:
             last = Account(index, 0, default_pubkey(index), {token: delta} if delta else {})
             payload = encode_account(last)
             encoded[index] = payload, last
-            ops.append(LeafOperation.insert(index, payload))
+            ops.append(LeafOperation(OP_INSERT, index, payload))
         elif account is None:
             raise TraceValidationError(
                 f"{tx.tx_type.value} references absent account {index}"
@@ -215,7 +239,7 @@ def tx_to_leaf_ops(tx: TxRecord, book: AccountBook) -> list[LeafOperation]:
             last = apply_delta(account, token, delta, bump_nonce, rotated)
             payload = encode_account(last)
             encoded[index] = payload, last
-            ops.append(LeafOperation.update(index, payload))
+            ops.append(LeafOperation(OP_UPDATE, index, payload))
         last_index = index
     return ops
 
@@ -548,16 +572,8 @@ def _parse_tx(raw: object) -> TxRecord:
         amount = amount_raw
     else:
         raise TraceParseError("'amount' must be a decimal string")
-    token = raw.get("token", 0)
-    if token.__class__ is not int or token < 0:
-        raise TraceParseError("'token' must be a non-negative integer")
-    sender, receiver = raw.get("from"), raw.get("to")
-    if sender is not None and (sender.__class__ is not int or sender < 0):
-        raise TraceParseError("'from' must be a non-negative integer")
-    if receiver is not None and (receiver.__class__ is not int or receiver < 0):
-        raise TraceParseError("'to' must be a non-negative integer")
     try:
-        return TxRecord(tx_type, sender, receiver, token, amount)
+        return TxRecord(tx_type, raw.get("from"), raw.get("to"), raw.get("token", 0), amount)
     except TraceValidationError as exc:
         raise TraceParseError(str(exc)) from exc
 

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +54,43 @@ def test_codec_round_trip(account):
     assert decode_account(encode_account(account), account.account_id) == account
 
 
+_HQQ = struct.Struct("<HQQ")
+
+
+def _two_word_encoding(account):
+    """Reference encoder in the two-word layout, each amount packed as its low
+    64-bit word, then its high word; `encode_account` must match it byte for
+    byte."""
+    out = struct.pack("<Q20sH", account.nonce, account.pubkey_hash, len(account.balances))
+    for token_id, amount in sorted(account.balances.items()):
+        out += _HQQ.pack(token_id, amount & (2**64 - 1), amount >> 64)
+    return out
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.binary(min_size=20, max_size=20),
+    st.dictionaries(st.integers(0, 2**16 - 1), st.integers(1, 2**128 - 1), max_size=8)
+    .map(lambda balances: list(balances.items()))
+    .flatmap(st.permutations),
+)
+def test_encoding_matches_the_two_word_layout(nonce, pubkey_hash, items):
+    account = Account(3, nonce, pubkey_hash, dict(items))  # in a random insertion order
+    data = encode_account(account)
+    assert data == _two_word_encoding(account)
+    assert decode_account(data, 3) == account
+
+
+@pytest.mark.parametrize(
+    "balances, token_id", [({2: 5, 9: 1}, 0), ({2: 5, 9: 1}, 4), ({2: 5, 7: 3, 9: 1}, 8)]
+)
+def test_apply_delta_inserts_a_new_token_in_ascending_place(balances, token_id):
+    after = apply_delta(Account(1, balances=balances), token_id, 3)
+    assert list(after.balances) == sorted(after.balances)
+    assert after.balances[token_id] == 3
+    assert list(apply_delta(after, 2, 1).balances) == sorted(after.balances)  # a held token stays put
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -100,6 +138,11 @@ def test_decode_rejects_zero_balance():
         (Account(0, 0, b"\x00" * 20, {0: 2**128 - 1, 1: 0}), "^amount 0 for token 1"),
         # Packing fails with every field in range: the account as a whole is named.
         (Account(7, 1.5), "^account 7 does not encode$"),
+        (Account(0, 0, b"\x00" * 20, {0: 1.5}), "^account 0 does not encode$"),
+        (Account(0, 0, b"\x00" * 20, {"x": 1}), "^account 0 does not encode$"),
+        # An out-of-order map is packed again sorted, and its bad field named.
+        (Account(0, 0, b"\x00" * 20, {5: 1, 2: 0}), "^amount 0 for token 2 out of range$"),
+        (Account(0, 0, b"\x00" * 20, {5: 2**128, 2: 1}), f"^amount {2**128} for token 5"),
     ],
 )
 def test_encode_error_names_the_bad_field(account, message):

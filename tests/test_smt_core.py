@@ -685,3 +685,35 @@ def test_leaf_operation_validates_direct_construction():
         for kind in (OpKind.INSERT, OpKind.UPDATE):
             with pytest.raises(TypeError, match=f"{kind.value} value must be bytes"):
                 LeafOperation(kind, 1, value)
+
+
+class _Index(int):
+    pass
+
+
+class _Payload(bytes):
+    pass
+
+
+@pytest.mark.parametrize(
+    "index, value, error",
+    [
+        (1, b"x", None),
+        (_Index(1), b"x", None),  # an int subclass that is not a bool is an index
+        (1, _Payload(b"x"), None),
+        (_Index(1), _Payload(b"x"), None),
+        (True, b"x", "index must be an int, got bool"),
+        (True, _Payload(b"x"), "index must be an int, got bool"),
+        (1, bytearray(b"x"), "value must be bytes, got bytearray"),
+        (_Index(1), bytearray(b"x"), "value must be bytes, got bytearray"),
+    ],
+)
+@pytest.mark.parametrize("kind", [OpKind.INSERT, OpKind.UPDATE])
+def test_leaf_operation_type_rules(kind, index, value, error):
+    # Both sides of the exact-type fast path keep one rule.
+    if error is None:
+        op = LeafOperation(kind, index, value)
+        assert (op.kind, op.index, op.value) == (kind, index, value)
+    else:
+        with pytest.raises(TypeError, match=error):
+            LeafOperation(kind, index, value)

@@ -144,6 +144,38 @@ def test_tx_record_rejects_a_negative_amount():
     assert TxRecord(TxType.TRANSFER, 1, 2, 0, 0).amount == 0
 
 
+class _Index(int):
+    """An int subclass that is not a bool."""
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"to_account": 5, "amount": 1.5}, "amount must be an integer, got float"),
+        ({"to_account": 5, "amount": True}, "amount must be an integer, got bool"),
+        ({"to_account": "5"}, "'to' must be a non-negative integer"),
+        ({"to_account": -5}, "'to' must be a non-negative integer"),
+        ({"to_account": False}, "'to' must be a non-negative integer"),
+        ({"from_account": 1.0, "to_account": 5}, "'from' must be a non-negative integer"),
+        ({"from_account": -1, "to_account": 5}, "'from' must be a non-negative integer"),
+        ({"to_account": 5, "token_id": "0"}, "'token' must be a non-negative integer"),
+        ({"to_account": 5, "token_id": True}, "'token' must be a non-negative integer"),
+        ({"to_account": 5, "token_id": -1}, "'token' must be a non-negative integer"),
+    ],
+)
+def test_tx_record_rejects_a_mistyped_field(fields, message):
+    # Each of these once built, and its replay then failed with no location
+    # or, for a bool amount, replayed as 1.
+    with pytest.raises(TraceValidationError) as info:
+        TxRecord(TxType.DEPOSIT, **fields)
+    assert str(info.value) == message
+
+
+def test_tx_record_accepts_an_int_subclass():
+    tx = TxRecord(TxType.TRANSFER, _Index(1), _Index(2), _Index(0), _Index(3))
+    assert tx == TxRecord(TxType.TRANSFER, 1, 2, 0, 3)
+
+
 def test_parse_accepts_the_amounts_the_serializer_writes():
     txs = [TxRecord(TxType.DEPOSIT, None, 1, 0, amount) for amount in (0, 7, 10, 2**128)]
     text = serialize_block_traces([BlockTrace(1, tuple(txs))])
