@@ -11,14 +11,15 @@ last merge the one dirty node left climbs alone, one hash per level, and the
 sweep returns the root digest it computed. Each affected path is walked once.
 
 `two_phase_update` is the baseline it is measured against: a full root-to-leaf
-traversal per operation to mutate the leaf, then a recursive top-down rehash
-of the stale paths, so every affected path is walked twice.
+traversal per operation, then a recursive top-down rehash of the stale
+internal nodes, so every affected path is walked twice.
 
-Both engines check a batch's leaves in full and only then write them, through
-one `_write_leaves` call; only what they charge for it and how they rehash
-differ. Both produce bytewise-identical roots, final tree states and hash
-counts on the same inputs; the difference the benchmarks measure is traversal
-work. Both run on the calling thread.
+Both engines check and write a batch's leaves through one `_write_leaves`
+call, then rehash through the same bound primitives: `get(node,
+defaults[level])` for a node they do not rehash, `node_hash` for one they do,
+and one prune-or-write rule. Only their leaf-phase charge and traversal
+differ, so on the same inputs they give bytewise-identical roots, final tree
+states and hash counts. Both run on the calling thread.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .smt_core import (
     MissingLeafError,
     SmtError,
     SparseMerkleTree,
-    level_of,
 )
 
 OBU = "obu"
@@ -200,52 +200,46 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
 
 def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResult:
     """Baseline engine: phase 1 charges a full root-to-leaf traversal for
-    every operation (the benchmark system's O(log n) update) and marks the
-    path stale; phase 2 recursively rehashes stale paths top-down. The
-    recursion counts nothing: its visits and hashes follow from the stale set
-    once it returns."""
+    every operation (the benchmark system's O(log n) update) and marks its
+    `depth` internal ancestors stale; phase 2 rehashes exactly those top-down.
+    The recursion counts nothing: its visits and hashes follow from the stale
+    set once it returns."""
     counters = CounterSet()
     if not ops:
         return BatchResult(tree.root(), counters)
 
     started = time.perf_counter_ns()
-    dirty, hashed_leaves = _write_leaves(tree, ops)
-    leaf_base = tree.capacity
+    _, hashed_leaves = _write_leaves(tree, ops)
+    depth, leaf_base = tree.depth, tree.capacity
     stale: set[int] = set()
     mark = stale.add
     for op in ops:
-        node = leaf_base + op.index
-        while node >= 1:
+        node = (leaf_base + op.index) >> 1
+        while node:
             mark(node)
             node >>= 1
-    counters.leaf_phase_visits = counters.node_visits = tree.depth * len(ops)
+    counters.leaf_phase_visits = counters.node_visits = depth * len(ops)
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    new_root = _rehash_recursive(tree, 1, stale)
+    cache, defaults = tree.cache, tree.defaults
+    node_hash, get = tree.scheme.hasher.node, cache.get
+
+    def rehash(node: int, level: int) -> bytes:
+        if node not in stale:  # clean, or a leaf written in phase 1
+            return get(node, defaults[level])
+        digest = node_hash(rehash(2 * node, level + 1), rehash(2 * node + 1, level + 1))
+        if digest == defaults[level]:
+            cache.pop(node, None)  # all-default subtree prunes away
+        else:
+            cache[node] = digest
+        return digest
+
+    new_root = rehash(1, 0)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     # Every stale node's parent is stale, so the recursion entered the root
-    # and both children of each stale internal node, and hashed each of those
-    # once; the stale leaves are exactly the dirty slots.
-    rehashed = len(stale) - len(dirty)
-    counters.node_visits += 1 + 2 * rehashed
-    counters.hash_invocations = hashed_leaves + rehashed
-    counters.levels_processed = tree.depth
+    # and both children of each stale node, and hashed each stale node once.
+    counters.node_visits += 1 + 2 * len(stale)
+    counters.hash_invocations = hashed_leaves + len(stale)
+    counters.levels_processed = depth
     return BatchResult(new_root, counters)
-
-
-def _rehash_recursive(tree: SparseMerkleTree, node: int, stale: set[int]) -> bytes:
-    if node not in stale:
-        return tree.resolve(node)
-    level = level_of(node)
-    if level == tree.depth:
-        # Leaf digest was written (or pruned away) in phase 1.
-        return tree.resolve(node)
-    left = _rehash_recursive(tree, 2 * node, stale)
-    right = _rehash_recursive(tree, 2 * node + 1, stale)
-    digest = tree.scheme.hasher.node(left, right)
-    if digest == tree.defaults[level]:
-        tree.cache.pop(node, None)
-    else:
-        tree.cache[node] = digest
-    return digest

@@ -135,15 +135,16 @@ class LeafOperation(FrozenValue):
     value: bytes | None
 
     def __init__(self, kind: OpKind, index: int, value: bytes | None = None) -> None:
-        # Checked here so no mistyped op reaches an engine, whose write pass,
-        # run once every op has passed its checks, could fail on it half done.
-        # An exact int index and bytes value, the common case, pass on the
-        # class tests alone.
+        # Checked here so no mistyped op reaches an engine, whose write pass
+        # could otherwise fail on it half done. An exact int index, an OpKind
+        # and a bytes value, the common case, pass on identity tests alone.
         if index.__class__ is not int:
             _check_index_type(index)
         if kind is OP_REMOVE:
             if value is not None:
                 raise ValueError("remove carries no value")
+        elif kind is not OP_INSERT and kind is not OP_UPDATE:
+            raise TypeError(f"kind must be an OpKind, got {kind!r}")
         elif value.__class__ is not bytes:
             if value is None:
                 raise ValueError(f"{kind.value} requires a value")
@@ -317,12 +318,12 @@ def member_verify(
 ) -> bool:
     """Fold a leaf value up through the witness siblings and compare to root.
 
-    Pure function of its arguments that never raises: a malformed depth,
-    witness or value verifies false. That covers a depth that is not an int
-    (or is a bool) or lies outside [1, MAX_DEPTH], a leaf index that is not
-    an int (or is a bool) or lies outside [0, 2^depth), siblings that are not
-    a tuple or list of `depth` digests of the scheme's size, and a value that
-    is not bytes.
+    Pure function of its arguments that never raises: a malformed witness,
+    depth or value verifies false. That covers a witness that is not a
+    `Witness`, a depth that is not an int (or is a bool) or lies outside
+    [1, MAX_DEPTH], a leaf index that is not an int (or is a bool) or lies
+    outside [0, 2^depth), siblings that are not a tuple or list of `depth`
+    digests of the scheme's size, and a value that is not bytes.
 
     The default payload's leaf digest is the first entry of the scheme's
     `empty_chain`, and while every sibling so far is the empty digest of its
@@ -330,6 +331,8 @@ def member_verify(
     first non-empty sibling up. Each skip yields exactly the bytes the hash
     would.
     """
+    if not isinstance(witness, Witness):
+        return False
     index, siblings = witness.leaf_index, witness.siblings
     if (
         not _is_index(depth)

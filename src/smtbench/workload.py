@@ -102,11 +102,11 @@ _NEEDS = {
 
 
 class TxRecord(FrozenValue):
-    """One trace transaction. A frozen `__slots__` value, checked when it is
-    built: its type's steps in `TX_STEPS` say which account fields it must
-    carry, and its account indices, token id and amount must be ints (a bool
-    is not one) and not negative; a negative amount would run it backwards.
-    The trace parser reports these checks' messages as they are."""
+    """One trace transaction. A frozen `__slots__` value, checked when built:
+    a `TxType`, the account fields its steps in `TX_STEPS` name, and account
+    indices, token id and amount that are ints (a bool is not one) and not
+    negative; a negative amount would run it backwards. The trace parser
+    reports these checks' messages as they are."""
 
     __slots__ = ("tx_type", "from_account", "to_account", "token_id", "amount")
 
@@ -124,6 +124,8 @@ class TxRecord(FrozenValue):
         token_id: int = 0,
         amount: int = 0,
     ) -> None:
+        if tx_type.__class__ is not TxType:  # a str would pass for a TxType as a key
+            raise TraceValidationError(f"type must be a TxType, got {tx_type!r}")
         # Each field is an exact int, or else an int that is not a bool.
         if token_id.__class__ is not int and not _is_index(token_id) or token_id < 0:
             raise TraceValidationError("'token' must be a non-negative integer")

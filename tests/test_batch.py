@@ -465,28 +465,57 @@ def test_hash_invocations_count_the_hasher_calls(engine):
     assert chains > 0 and removed_writes > 0
 
 
-def test_baseline_hash_phase_visits_are_its_recursive_entries(monkeypatch):
+class _CacheLog(dict):
+    """A tree cache that logs the keys its membership probes, `get` reads and
+    writes (stores and pops) touch."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.probes, self.reads, self.writes = [], [], []
+
+    def __contains__(self, key):
+        self.probes.append(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+    def pop(self, key, *default):
+        self.writes.append(key)
+        return super().pop(key, *default)
+
+
+def test_baseline_hash_phase_visits_are_its_recursive_entries():
     # The recursion counts nothing; the visits derived from the stale set must
-    # still be one per node it enters.
-    entries = []
-    rehash = batch._rehash_recursive
-
-    def entering(tree, node, stale):
-        entries.append(node)
-        return rehash(tree, node, stale)
-
-    monkeypatch.setattr(batch, "_rehash_recursive", entering)
+    # still be one per node it enters: a `get` for a node it does not rehash,
+    # one internal write for a node it does. With I rehashed nodes and d dirty
+    # slots, both engines `get` the same I - d + 1 clean siblings; the
+    # baseline also `get`s its d dirty leaves.
     rng = random.Random(0x5E)
     removals = rewrites = 0
     for case in range(200):
         depth = rng.randrange(1, 9)
         initial, ops = random_case(rng, depth)
-        tree = populated(depth, initial)
-        entries.clear()
-        c = two_phase_update(tree, ops).counters
-        assert len(entries) == c.node_visits - c.leaf_phase_visits, f"case {case}"
+        if not ops:
+            continue
+        indices = {op.index for op in ops}
+        rehashed, dirty = len(ancestor_union(depth, indices)), len(indices)
+        reads = []
+        for engine in ENGINES:
+            tree = populated(depth, initial)
+            tree.cache = log = _CacheLog(tree.cache)
+            c = engine(tree, ops).counters
+            reads.append(len(log.reads))
+        entries = len(log.reads) + sum(node < 1 << depth for node in log.writes)
+        assert entries == c.node_visits - c.leaf_phase_visits, f"case {case}"
+        assert reads == [rehashed - dirty + 1, rehashed + 1], f"case {case}"
         removals += any(op.value is None for op in ops)
-        rewrites += len({op.index for op in ops}) < len(ops)
+        rewrites += len(indices) < len(ops)
     assert removals > 0 and rewrites > 0
 
 
@@ -509,28 +538,19 @@ def test_engines_write_leaves_once_per_nonempty_batch(engine, monkeypatch):
     assert not hasattr(batch, "_write_leaf")
 
 
-class _ProbeCounter(dict):
-    probes = 0
-
-    def __contains__(self, key):
-        self.probes += 1
-        return super().__contains__(key)
-
-
 def test_obu_charges_inserts_without_probing_ancestors():
     # An insert is charged `depth` visits, but no ancestor is read before the
     # sweep, which hashes and writes the path anyway.
     depth = 8
     tree = populated(depth, {1: b"a", 2: b"b"})
-    tree.cache = _ProbeCounter(tree.cache)
+    tree.cache = _CacheLog(tree.cache)
     ops = [LeafOperation.insert(5, b"x"), LeafOperation.update(1, b"c"),
            LeafOperation.insert(200, b"y"), LeafOperation.remove(2)]
     result = batch_update(tree, ops)
-    assert tree.cache.probes == 0
+    assert tree.cache.probes == []
     assert result.counters.leaf_phase_visits == len(ops) + 2 * (depth - 1)
-    tree.cache.probes = 0
     batch_update(tree, [LeafOperation.update(5, b"z"), LeafOperation.remove(200)])
-    assert tree.cache.probes == 0
+    assert tree.cache.probes == []
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)

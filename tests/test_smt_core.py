@@ -257,6 +257,8 @@ def test_member_verify_rejects_mistyped_input():
         (Witness(1, tuple(bytearray(s) for s in siblings)), b"x"),
         (witness, "x"),
         (witness, None),
+        (None, b"x"),
+        ((1, siblings), b"x"),  # a Witness's fields, not a Witness
     ]
     for bad, value in malformed:
         assert not member_verify(root, bad, value, 8), (bad, value)
@@ -708,9 +710,13 @@ class _Payload(bytes):
         (_Index(1), bytearray(b"x"), "value must be bytes, got bytearray"),
     ],
 )
-@pytest.mark.parametrize("kind", [OpKind.INSERT, OpKind.UPDATE])
+@pytest.mark.parametrize("kind", [OpKind.INSERT, OpKind.UPDATE, "insert", None])
 def test_leaf_operation_type_rules(kind, index, value, error):
-    # Both sides of the exact-type fast path keep one rule.
+    # Both sides of the exact-type fast path keep one rule. A kind that is not
+    # an OpKind, such as its str value, never builds; the engines once took it
+    # for an update. Only a mistyped index is reported before it.
+    if not isinstance(kind, OpKind) and not (error or "").startswith("index"):
+        error = "kind must be an OpKind"
     if error is None:
         op = LeafOperation(kind, index, value)
         assert (op.kind, op.index, op.value) == (kind, index, value)

@@ -161,13 +161,18 @@ class _Index(int):
         ({"to_account": 5, "token_id": "0"}, "'token' must be a non-negative integer"),
         ({"to_account": 5, "token_id": True}, "'token' must be a non-negative integer"),
         ({"to_account": 5, "token_id": -1}, "'token' must be a non-negative integer"),
+        ({"tx_type": "Deposit", "to_account": 5}, "type must be a TxType, got 'Deposit'"),
+        ({"tx_type": "Transfer", "from_account": 1, "to_account": 2},
+         "type must be a TxType, got 'Transfer'"),
+        ({"tx_type": 123, "to_account": 5}, "type must be a TxType, got 123"),
     ],
 )
 def test_tx_record_rejects_a_mistyped_field(fields, message):
     # Each of these once built, and its replay then failed with no location
-    # or, for a bool amount, replayed as 1.
+    # or, for a bool amount, replayed as 1. A str type, equal to its TxType,
+    # escaped replay as a bare AttributeError, and an int as a KeyError.
     with pytest.raises(TraceValidationError) as info:
-        TxRecord(TxType.DEPOSIT, **fields)
+        TxRecord(**{"tx_type": TxType.DEPOSIT, **fields})
     assert str(info.value) == message
 
 
