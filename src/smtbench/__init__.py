@@ -23,7 +23,6 @@ from .hasher import (
     SLOW_SCHEME,
     HashScheme,
     InvalidDigestError,
-    default_digests,
     hash_leaf,
     hash_node,
 )

@@ -16,8 +16,9 @@ internal nodes, so every affected path is walked twice.
 
 Both engines check and write a batch's leaves through one `_write_leaves`
 call, then rehash through the same bound primitives: `get(node,
-defaults[level])` for a node they do not rehash, `node_hash` for one they do,
-and one prune-or-write rule. Only their leaf-phase charge and traversal
+empty[height])` for a node they do not rehash, where `empty` is the scheme's
+`empty_chain` and height 0 is a leaf, `node_hash` for one they do, and one
+prune-or-write rule. Only their leaf-phase charge and traversal
 differ, so on the same inputs they give bytewise-identical roots, final tree
 states and hash counts. Both run on the calling thread.
 """
@@ -138,36 +139,36 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    cache, defaults = tree.cache, tree.defaults
+    cache, empty = tree.cache, tree.scheme.empty_chain
     node_hash, get = tree.scheme.hasher.node, cache.get
-    # The dirty leaf slots are the schedule's first level; each level below
-    # appends its parents, bottom-up. A removed leaf carries the default digest.
+    # The dirty leaf slots are the schedule's first level; each level above
+    # appends its parents, bottom-up. A removed leaf carries the empty digest.
     nodes = sorted(written)
-    digests = [written[node] or defaults[depth] for node in nodes]
+    digests = [written[node] or empty[0] for node in nodes]
     work_lists: list[list[int]] = [nodes]
     rehashed = 0
-    level = depth  # the level `nodes` sit on
+    height = 0  # the height `nodes` sit at
     while len(nodes) > 1:
         # Parents of the dirty `nodes` (ascending, distinct), hashed from their
         # fresh `digests`; only a lone child's clean sibling is read from the cache.
-        level -= 1
-        child_default, own_default = defaults[level + 1], defaults[level]
+        child_empty, own_empty = empty[height], empty[height + 1]
+        height += 1
         parents: list[int] = []
         fresh: list[bytes] = []
         i, count = 0, len(nodes)
         while i < count:
             node = nodes[i]
             if node & 1:  # lone right child
-                digest = node_hash(get(node - 1, child_default), digests[i])
+                digest = node_hash(get(node - 1, child_empty), digests[i])
                 i += 1
             elif i + 1 < count and nodes[i + 1] == node + 1:  # both siblings dirty
                 digest = node_hash(digests[i], digests[i + 1])
                 i += 2
             else:  # lone left child
-                digest = node_hash(digests[i], get(node + 1, child_default))
+                digest = node_hash(digests[i], get(node + 1, child_empty))
                 i += 1
             parent = node >> 1
-            if digest == own_default:
+            if digest == own_empty:
                 cache.pop(parent, None)  # all-default subtree prunes away
             else:
                 cache[parent] = digest
@@ -178,12 +179,12 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
         rehashed += len(nodes)
     # Above the last merge one dirty node is left: climb its path alone.
     node, digest = nodes[0], digests[0]
-    rehashed += level
-    for level in range(level - 1, -1, -1):
-        sibling = get(node ^ 1, defaults[level + 1])
+    rehashed += depth - height
+    for height in range(height, depth):
+        sibling = get(node ^ 1, empty[height])
         digest = node_hash(sibling, digest) if node & 1 else node_hash(digest, sibling)
         node >>= 1
-        if digest == defaults[level]:
+        if digest == empty[height + 1]:
             cache.pop(node, None)
         else:
             cache[node] = digest
@@ -222,20 +223,20 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
     started = time.perf_counter_ns()
-    cache, defaults = tree.cache, tree.defaults
+    cache, empty = tree.cache, tree.scheme.empty_chain
     node_hash, get = tree.scheme.hasher.node, cache.get
 
-    def rehash(node: int, level: int) -> bytes:
+    def rehash(node: int, height: int) -> bytes:
         if node not in stale:  # clean, or a leaf written in phase 1
-            return get(node, defaults[level])
-        digest = node_hash(rehash(2 * node, level + 1), rehash(2 * node + 1, level + 1))
-        if digest == defaults[level]:
+            return get(node, empty[height])
+        digest = node_hash(rehash(2 * node, height - 1), rehash(2 * node + 1, height - 1))
+        if digest == empty[height]:
             cache.pop(node, None)  # all-default subtree prunes away
         else:
             cache[node] = digest
         return digest
 
-    new_root = rehash(1, 0)
+    new_root = rehash(1, depth)
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     # Every stale node's parent is stale, so the recursion entered the root
     # and both children of each stale node, and hashed each stale node once.

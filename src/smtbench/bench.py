@@ -23,7 +23,9 @@ from typing import Callable
 from .batch import (
     OBU, TWO_PHASE, BatchPreconditionError, BatchResult, batch_update, two_phase_update,
 )
-from .smt_core import MAX_DEPTH, OP_INSERT, OP_UPDATE, LeafOperation, SparseMerkleTree, gen
+from .smt_core import (
+    MAX_DEPTH, OP_INSERT, OP_UPDATE, LeafOperation, SmtError, SparseMerkleTree, gen,
+)
 from .workload import (
     BlockTrace,
     build_preseed_book,
@@ -317,7 +319,10 @@ def run_macro(
 
     book = build_preseed_book(blocks)
     tree = gen(depth)
-    tree.commit({index: encode_account(account) for index, account in book.accounts.items()})
+    try:
+        tree.commit({index: encode_account(account) for index, account in book.accounts.items()})
+    except SmtError as exc:
+        raise BenchConfigError(f"pre-seed: {exc}") from exc
 
     percents: list[float] = []
     reductions_ns: list[float] = []

@@ -121,15 +121,3 @@ def hash_node(scheme: HashScheme, left: bytes, right: bytes) -> bytes:
         )
     return scheme.hasher.node(left, right)
 
-
-def default_digests(scheme: HashScheme, depth: int) -> tuple[bytes, ...]:
-    """Per-level digests of all-empty subtrees for a tree of the given depth.
-
-    Index by level: entry `depth` is the default leaf digest, entry 0 is the
-    root of a fully empty tree. Entry L satisfies
-    table[L] == hash_node(table[L+1], table[L+1]). Read from the scheme's
-    `empty_chain`, so no digest is recomputed.
-    """
-    if not 1 <= depth <= MAX_HEIGHT:
-        raise ValueError(f"depth must be in [1, {MAX_HEIGHT}], got {depth}")
-    return scheme.empty_chain[depth::-1]

@@ -2,8 +2,9 @@
 
 Nodes use heap indexing: the root is index 1, children of j are 2j and 2j+1,
 leaf k lives at heap index 2^depth + k. Only non-default nodes are kept in
-the cache; absent entries resolve to the per-level default digest, which is
-what makes empty subtrees free to store and non-membership proofs possible.
+the cache; an absent node resolves to the digest of an all-empty subtree of
+its height, `scheme.empty_chain[height]` (height 0 is a leaf), which is what
+makes empty subtrees free to store and non-membership proofs possible.
 
 Leaves change only through the engines in `batch`, which write each leaf
 digest first and rehash its ancestors in their hash phase; between the two
@@ -17,8 +18,7 @@ from enum import Enum
 from typing import Mapping
 
 from .hasher import (
-    DEFAULT_PAYLOAD, DEFAULT_SCHEME, DIGEST_SIZE, MAX_HEIGHT, HashScheme, default_digests,
-    hash_leaf, hash_node,
+    DEFAULT_PAYLOAD, DEFAULT_SCHEME, DIGEST_SIZE, MAX_HEIGHT, HashScheme, hash_leaf, hash_node,
 )
 
 MAX_DEPTH = MAX_HEIGHT  # heap indices stay within 64-bit unsigned range
@@ -181,10 +181,6 @@ class Witness:
     siblings: tuple[bytes, ...]
 
 
-def level_of(node_index: int) -> int:
-    return node_index.bit_length() - 1
-
-
 class SparseMerkleTree:
     def __init__(self, depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> None:
         if not 1 <= depth <= MAX_DEPTH:
@@ -193,7 +189,6 @@ class SparseMerkleTree:
         self.scheme = scheme
         self.cache: dict[int, bytes] = {}
         self.leaf_values: dict[int, bytes] = {}
-        self.defaults: tuple[bytes, ...] = default_digests(scheme, depth)
 
     @property
     def capacity(self) -> int:
@@ -206,10 +201,15 @@ class SparseMerkleTree:
             )
 
     def resolve(self, node_index: int) -> bytes:
-        """Digest of a node: cached value, or its level default when pruned."""
+        """Digest of a node: cached value, or the empty digest of its height
+        when pruned. A node outside the heap [1, 2^(depth+1)) is rejected."""
+        if not 1 <= node_index < 2 << self.depth:
+            raise LeafRangeError(
+                f"node {node_index} outside [1, {2 << self.depth}) at depth {self.depth}"
+            )
         digest = self.cache.get(node_index)
         if digest is None:
-            return self.defaults[level_of(node_index)]
+            return self.scheme.empty_chain[self.depth + 1 - node_index.bit_length()]
         return digest
 
     def root(self) -> bytes:
@@ -230,13 +230,13 @@ class SparseMerkleTree:
 
     def member_witness_create(self, index: int) -> Witness:
         """Sibling path for a leaf slot, present or absent; pruned siblings
-        resolve to their level defaults."""
+        resolve to the empty digests of their heights."""
         _check_index_type(index)
         self.check_range(index)
         get, node = self.cache.get, self.capacity + index
         siblings = []
-        for default in self.defaults[:0:-1]:  # levels depth .. 1
-            siblings.append(get(node ^ 1, default))
+        for empty in self.scheme.empty_chain[: self.depth]:  # heights 0 .. depth - 1
+            siblings.append(get(node ^ 1, empty))
             node >>= 1
         return Witness(index, tuple(siblings))
 
@@ -247,7 +247,6 @@ class SparseMerkleTree:
         other.scheme = self.scheme
         other.cache = dict(self.cache)
         other.leaf_values = dict(self.leaf_values)
-        other.defaults = self.defaults
         return other
 
     def export_snapshot(self) -> str:
@@ -382,17 +381,17 @@ def check_consistency(tree: SparseMerkleTree) -> None:
     Valid only at public-operation boundaries (no stale nodes). Raises
     ConsistencyError on the first violation.
     """
-    top = 1 << (tree.depth + 1)
+    top, chain = 2 << tree.depth, tree.scheme.empty_chain
     for node, digest in tree.cache.items():
         if not 1 <= node < top:
             raise ConsistencyError(f"cache key {node} out of heap range")
         if node > 1 and node >> 1 not in tree.cache:
             # A non-default child makes its parent non-default too.
             raise ConsistencyError(f"node {node} cached under pruned parent {node >> 1}")
-        level = level_of(node)
-        if level < tree.depth:
-            # Internal defaults must be pruned.
-            if digest == tree.defaults[level]:
+        height = tree.depth + 1 - node.bit_length()
+        if height:
+            # Internal empty digests must be pruned.
+            if digest == chain[height]:
                 raise ConsistencyError(f"default digest cached at {node}")
             expect = hash_node(tree.scheme, tree.resolve(2 * node), tree.resolve(2 * node + 1))
             if digest != expect:

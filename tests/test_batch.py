@@ -22,7 +22,6 @@ from smtbench.smt_core import (
     OpKind,
     check_consistency,
     gen,
-    level_of,
 )
 
 from oracles import ancestor_union, final_leaves, naive_root, random_case
@@ -64,9 +63,9 @@ def test_level_monotonicity_of_work_lists():
     tree = populated(7, initial)
     result = batch_update(tree, ops)
     if ops:
-        for sweep, work in enumerate(result.level_work_lists):
+        for height, work in enumerate(result.level_work_lists):
             assert work == sorted(work)
-            assert {level_of(i) for i in work} == {7 - sweep}
+            assert {7 + 1 - i.bit_length() for i in work} == {height}
     assert two_phase_update(tree, []).level_work_lists is None
 
 

@@ -205,3 +205,20 @@ def test_macro_rejected_op_names_its_block(tmp_path, capsys):
         "error: block 7: operation 0 rejected: leaf index 300 outside [0, 256) at depth 8\n"
     )
     assert not out.exists()
+
+
+def test_macro_preseed_error_names_its_stage(tmp_path, capsys):
+    # Account 300 is read before it is written, so the pre-seed book holds it;
+    # it lies outside a depth-8 tree, and the error says the pre-seed failed.
+    trace = tmp_path / "outside.json"
+    trace.write_text(
+        '{"blocks": [{"block_number": 1, "txs": ['
+        '{"type": "Transfer", "from": 300, "to": 1, "token": 0, "amount": "1"}]}]}'
+    )
+    out = tmp_path / "o.csv"
+    assert main(["macro", "--trace", str(trace), "--depth", "8", "--runs", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: pre-seed: leaf index 300 outside [0, 256) at depth 8\n"
+    )
+    assert not out.exists()

@@ -11,7 +11,6 @@ from smtbench.hasher import (
     SLOW_SCHEME,
     HashScheme,
     InvalidDigestError,
-    default_digests,
     hash_leaf,
     hash_node,
 )
@@ -62,44 +61,29 @@ def test_hash_node_rejects_bad_lengths(left, right):
 
 def test_default_digests_depth_one():
     leaf = hash_leaf(DEFAULT_SCHEME, b"")
-    assert default_digests(DEFAULT_SCHEME, 1) == (hash_node(DEFAULT_SCHEME, leaf, leaf), leaf)
+    assert DEFAULT_SCHEME.empty_chain[:2] == (leaf, hash_node(DEFAULT_SCHEME, leaf, leaf))
 
 
 def test_default_digests_recurrence():
-    table = default_digests(DEFAULT_SCHEME, 12)
-    assert len(table) == 13
-    assert table[12] == EMPTY_LEAF
-    for level in range(12):
-        assert table[level] == hash_node(DEFAULT_SCHEME, table[level + 1], table[level + 1])
+    # The empty-subtree digests by height, 0 (a default leaf) to MAX_HEIGHT.
+    chain = DEFAULT_SCHEME.empty_chain
+    assert len(chain) == MAX_HEIGHT + 1
+    assert chain[0] == EMPTY_LEAF == hash_leaf(DEFAULT_SCHEME, DEFAULT_PAYLOAD)
+    for height in range(MAX_HEIGHT):
+        assert chain[height + 1] == hash_node(DEFAULT_SCHEME, chain[height], chain[height])
 
 
 def test_default_digests_depth24_root_golden():
-    table = default_digests(DEFAULT_SCHEME, 24)
+    table = DEFAULT_SCHEME.empty_chain[24::-1]
     assert len(table) == 25
     assert table[0] == EMPTY_ROOT_24
 
 
-@pytest.mark.parametrize("depth", [0, MAX_HEIGHT + 1])
-def test_default_digests_rejects_bad_depth(depth):
-    with pytest.raises(ValueError):
-        default_digests(DEFAULT_SCHEME, depth)
-
-
-@pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, SLOW_SCHEME], ids=["sha256", "sha256x64"])
-def test_empty_chain_is_the_default_table_by_height(scheme):
-    chain = scheme.empty_chain
-    assert len(chain) == MAX_HEIGHT + 1
-    assert chain[0] == hash_leaf(scheme, DEFAULT_PAYLOAD)
-    for height in range(MAX_HEIGHT):
-        assert chain[height + 1] == hash_node(scheme, chain[height], chain[height])
-    table = default_digests(scheme, 24)
-    assert all(table[level] is chain[24 - level] for level in range(25))
-
-
 def test_golden_fixture_file_matches(repo_root):
     text = (repo_root / "fixtures" / "default_digests_sha256.txt").read_text()
-    # One lowercase-hex digest per line, line i = level i.
-    assert "".join(d.hex() + "\n" for d in default_digests(DEFAULT_SCHEME, 24)) == text
+    # One lowercase-hex digest per line, from height 24 (the empty depth-24
+    # root) down to height 0 (the default leaf).
+    assert "".join(d.hex() + "\n" for d in DEFAULT_SCHEME.empty_chain[24::-1]) == text
 
 
 def test_domain_separation_on_adversarial_payload():
@@ -124,9 +108,11 @@ def test_slow_scheme_goldens():
 def test_slow_scheme_is_a_distinct_function():
     assert len(hash_leaf(SLOW_SCHEME, b"a")) == DIGEST_SIZE
     assert hash_leaf(SLOW_SCHEME, b"a") != hash_leaf(DEFAULT_SCHEME, b"a")
-    table = default_digests(SLOW_SCHEME, 4)
-    for level in range(4):
-        assert table[level] == hash_node(SLOW_SCHEME, table[level + 1], table[level + 1])
+    chain = SLOW_SCHEME.empty_chain
+    assert len(chain) == MAX_HEIGHT + 1
+    assert chain[0] == hash_leaf(SLOW_SCHEME, DEFAULT_PAYLOAD) != EMPTY_LEAF
+    for height in range(MAX_HEIGHT):
+        assert chain[height + 1] == hash_node(SLOW_SCHEME, chain[height], chain[height])
 
 
 @given(st.binary(max_size=64))

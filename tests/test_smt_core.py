@@ -128,7 +128,7 @@ def test_insert_then_remove_restores_empty_root():
 
 def test_commit_empty_is_noop():
     tree = gen(3)
-    assert tree.commit({}) == tree.defaults[0]
+    assert tree.commit({}) == DEFAULT_SCHEME.empty_chain[3]
 
 
 def test_commit_three_leaf_structure_golden():
@@ -169,13 +169,25 @@ def test_witness_length_is_depth():
 def test_empty_tree_witness_is_default_chain():
     tree = gen(5)
     witness = tree.member_witness_create(11)
-    assert list(witness.siblings) == [tree.defaults[level] for level in range(5, 0, -1)]
+    assert witness.siblings == DEFAULT_SCHEME.empty_chain[:5]
     assert non_member_verify(tree.root(), witness, 5)
 
 
 def test_witness_out_of_range():
     with pytest.raises(LeafRangeError):
         gen(3).member_witness_create(8)
+
+
+@pytest.mark.parametrize("node", [0, -1, 32, 1, 31])
+def test_resolve_takes_only_heap_nodes(node):
+    # A depth-4 heap holds nodes [1, 32): the root at height 4, leaf 15 at
+    # height 0. A node outside it has no height to read the empty chain at.
+    tree = gen(4)
+    if 1 <= node < 32:
+        assert tree.resolve(node) == DEFAULT_SCHEME.empty_chain[5 - node.bit_length()]
+    else:
+        with pytest.raises(LeafRangeError, match=rf"^node {node} outside \[1, 32\) at depth 4$"):
+            tree.resolve(node)
 
 
 def test_witness_rejects_a_non_int_index():
@@ -195,7 +207,7 @@ def test_pruned_tree_membership_structure():
     tree = build(3, leaves)
     assert 5 not in tree.cache  # node over {2,3} pruned away
     witness = tree.member_witness_create(4)
-    assert witness.siblings[0] == tree.defaults[3]  # leaf 5 is empty
+    assert witness.siblings[0] == DEFAULT_SCHEME.empty_chain[0]  # leaf 5 is empty
     assert witness.siblings[1] == tree.resolve(7)  # covers leaves {6,7}
     assert witness.siblings[2] == tree.resolve(2)  # covers leaves {0..3}
     assert member_verify(tree.root(), witness, b"v4", 3)
@@ -447,8 +459,8 @@ def test_clone_defaults_cannot_be_written_through():
     tree = gen(4)
     copy = tree.clone()
     with pytest.raises(TypeError):
-        copy.defaults[0] = b"x"
-    assert list(tree.defaults) == empty_digests(4)[::-1]
+        copy.scheme.empty_chain[0] = b"x"
+    assert list(tree.scheme.empty_chain[:5]) == empty_digests(4)
 
 
 def test_consistency_walker_detects_corruption():
@@ -473,11 +485,11 @@ def _pruned_root(tree):
 
 
 def _default_sibling(tree):
-    tree.cache[9] = tree.defaults[3]
+    tree.cache[9] = DEFAULT_SCHEME.empty_chain[1]
 
 
 def _absent_leaf(tree):
-    tree.cache[16] = tree.defaults[4]
+    tree.cache[16] = DEFAULT_SCHEME.empty_chain[0]
 
 
 def _stale_leaf_value(tree):
