@@ -13,7 +13,7 @@ the cache invariant is allowed to be stale.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -85,50 +85,16 @@ def _check_index_type(index: object) -> None:
         raise TypeError(f"index must be an int, got {type(index).__name__}")
 
 
-class FrozenValue:
-    """Base of the library's immutable `__slots__` value classes: equal,
-    hashable, printable and picklable by the values of their slots, in slot
-    order, like a frozen dataclass. A subclass names its fields in
-    `__slots__` and sets them in `__init__` through the slots' own
-    descriptors, which bypass the write guard."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-
-class LeafOperation(FrozenValue):
+@dataclass(frozen=True, slots=True)
+class LeafOperation:
     """One mutation of one indexed leaf; the atomic unit a transaction
     decomposes into.
 
-    A frozen `__slots__` value: the engines read `kind`, `index` and `value`
-    as plain slots, and an op costs less than half as much to build as a
-    frozen dataclass.
+    A frozen slotted dataclass with its own checking `__init__`: the engines
+    read `kind`, `index` and `value` as plain slots. `__init__` sets them
+    through the slots' own setters, which skip the frozen write guard and
+    build an op faster than `object.__setattr__`.
     """
-
-    __slots__ = ("kind", "index", "value")
 
     kind: OpKind
     index: int
@@ -153,6 +119,9 @@ class LeafOperation(FrozenValue):
         _set_kind(self, kind)
         _set_index(self, index)
         _set_value(self, value)
+
+    def __reduce__(self):  # unpickling runs `__init__`, so its checks hold
+        return self.__class__, (self.kind, self.index, self.value)
 
     @classmethod
     def insert(cls, index: int, value: bytes) -> "LeafOperation":
@@ -202,7 +171,9 @@ class SparseMerkleTree:
 
     def resolve(self, node_index: int) -> bytes:
         """Digest of a node: cached value, or the empty digest of its height
-        when pruned. A node outside the heap [1, 2^(depth+1)) is rejected."""
+        when pruned. A node that is not an int in the heap [1, 2^(depth+1)) is
+        rejected."""
+        _check_index_type(node_index)
         if not 1 <= node_index < 2 << self.depth:
             raise LeafRangeError(
                 f"node {node_index} outside [1, {2 << self.depth}) at depth {self.depth}"

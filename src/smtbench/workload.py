@@ -28,7 +28,6 @@ from .smt_core import (
     OP_INSERT,
     OP_REMOVE,
     OP_UPDATE,
-    FrozenValue,
     LeafOperation,
     LeafRangeError,
     OpKind,
@@ -101,14 +100,15 @@ _NEEDS = {
 }
 
 
-class TxRecord(FrozenValue):
-    """One trace transaction. A frozen `__slots__` value, checked when built:
-    a `TxType`, the account fields its steps in `TX_STEPS` name, and account
-    indices, token id and amount that are ints (a bool is not one) and not
-    negative; a negative amount would run it backwards. The trace parser
-    reports these checks' messages as they are."""
-
-    __slots__ = ("tx_type", "from_account", "to_account", "token_id", "amount")
+@dataclass(frozen=True, slots=True)
+class TxRecord:
+    """One trace transaction. A frozen slotted dataclass with its own
+    `__init__`, which checks it: a `TxType`, the account fields its steps in
+    `TX_STEPS` name, and account indices, token id and amount that are ints
+    (a bool is not one) and not negative; a negative amount would run it
+    backwards. The trace parser reports these checks' messages as they are.
+    Like `LeafOperation`'s, `__init__` sets the fields through the slots' own
+    setters, faster than `object.__setattr__`."""
 
     tx_type: TxType
     from_account: int | None
@@ -151,6 +151,11 @@ class TxRecord(FrozenValue):
         _set_to(self, to_account)
         _set_token(self, token_id)
         _set_amount(self, amount)
+
+    def __reduce__(self):  # unpickling runs `__init__`, so its checks hold
+        return self.__class__, (
+            self.tx_type, self.from_account, self.to_account, self.token_id, self.amount
+        )
 
 
 # The slots' own setters, which bypass the write guard.
@@ -299,30 +304,24 @@ def replay_blocks(
 def required_preseed(blocks: Iterable[BlockTrace]) -> tuple[set[int], set[int]]:
     """Scan a trace for (accounts that must exist before replay, token ids used).
 
-    Walks every transaction's steps from `TX_STEPS` in order, tracking which
-    accounts exist. An account that an UPDATE, ROTATE or REMOVE step meets
-    before the trace has created or removed it must pre-exist. INSERT and
-    UPSERT create accounts, so a Deposit to an unseen account creates it.
+    Walks every transaction's steps from `TX_STEPS` in order. An account whose
+    first step is an UPDATE, ROTATE or REMOVE must pre-exist; INSERT and UPSERT
+    create accounts, so a Deposit to an unseen account creates it. The scan
+    only collects: a reference to a removed account, or an insert of a present
+    one, is left to replay, which names its block and tx.
     """
     preseed: set[int] = set()
     tokens: set[int] = set()
-    exists: dict[int, bool] = {}  # account seen so far -> present now
+    seen: set[int] = set()
     for block in blocks:
         for tx in block.txs:
             tokens.add(tx.token_id)
             for role, action, _, _ in TX_STEPS[tx.tx_type]:
                 index = tx.from_account if role == FROM else tx.to_account
-                present = exists.get(index)
-                if action == INSERT and present:
-                    raise TraceValidationError(
-                        f"{tx.tx_type.value} target {index} already exists"
-                    )
-                if action in (UPDATE, ROTATE, REMOVE):
-                    if present is False:
-                        raise TraceValidationError(f"account {index} referenced after removal")
-                    if present is None:
+                if index not in seen:
+                    seen.add(index)
+                    if action in (UPDATE, ROTATE, REMOVE):
                         preseed.add(index)
-                exists[index] = action != REMOVE
     return preseed, tokens
 
 

@@ -39,10 +39,11 @@ TARGETS = (
     ("src/smtbench/batch.py", None),
     ("src/smtbench/hasher.py", ("_bind", "__post_init__")),
     ("src/smtbench/smt_core.py",
-     ("member_verify", "member_witness_create", "resolve", "_check_index_type", "_is_index", "load_snapshot",
-      "check_consistency")),
+     ("__init__", "member_verify", "member_witness_create", "resolve", "_check_index_type", "_is_index",
+      "load_snapshot", "check_consistency")),
     ("src/smtbench/account_model.py", None),
-    ("src/smtbench/workload.py", ("required_preseed", "build_preseed_book", "tx_to_leaf_ops", "apply_leaf_ops")),
+    ("src/smtbench/workload.py",
+     ("__init__", "required_preseed", "build_preseed_book", "tx_to_leaf_ops", "apply_leaf_ops")),
 )
 
 FLIPS = {

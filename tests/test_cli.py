@@ -222,3 +222,21 @@ def test_macro_preseed_error_names_its_stage(tmp_path, capsys):
         "error: pre-seed: leaf index 300 outside [0, 256) at depth 8\n"
     )
     assert not out.exists()
+
+
+def test_macro_reference_after_removal_names_block_and_tx(tmp_path, capsys):
+    # The pre-seed scan only collects accounts; replay meets the Transfer
+    # from the account that block 1's FullExit removed and says where.
+    trace = tmp_path / "removed.json"
+    trace.write_text(
+        '{"blocks": [{"block_number": 1, "txs": ['
+        '{"type": "FullExit", "from": 5, "to": 5, "token": 0, "amount": "0"}]}, '
+        '{"block_number": 2, "txs": ['
+        '{"type": "Transfer", "from": 5, "to": 1, "token": 0, "amount": "1"}]}]}'
+    )
+    out = tmp_path / "o.csv"
+    assert main(["macro", "--trace", str(trace), "--runs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: block 2 tx 0 (Transfer): Transfer references absent account 5\n"
+    )
+    assert not out.exists()

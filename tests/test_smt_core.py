@@ -190,6 +190,14 @@ def test_resolve_takes_only_heap_nodes(node):
             tree.resolve(node)
 
 
+@pytest.mark.parametrize("node", [True, 1.5, "1"])
+def test_resolve_takes_only_int_nodes(node):
+    # The rule member_witness_create applies: a bool is not a node, though
+    # Python counts it as an int.
+    with pytest.raises(TypeError, match=f"^index must be an int, got {type(node).__name__}$"):
+        gen(4).resolve(node)
+
+
 def test_witness_rejects_a_non_int_index():
     # The rule LeafOperation applies: a bool is not an index, though Python
     # counts it as an int, and a float fails with the same message.
@@ -682,6 +690,17 @@ def test_leaf_operation_is_a_frozen_value(make, same, other, as_tuple, text):
         delattr(value, field)
     assert getattr(value, field) == as_tuple[1]
     assert not hasattr(value, "__dict__")
+
+
+def test_unpickling_a_leaf_operation_runs_its_checks():
+    # Unpickling calls the class, so a pickle edited to hold a bool index
+    # is rejected as a direct call would be.
+    import pickle
+
+    data = pickle.dumps(LeafOperation.insert(3, b"v"), protocol=0)
+    assert b"I3\n" in data
+    with pytest.raises(TypeError, match="^index must be an int, got bool$"):
+        pickle.loads(data.replace(b"I3\n", b"I01\n"))
 
 
 def test_leaf_operation_validates_direct_construction():

@@ -138,6 +138,11 @@ def test_role_checks_follow_the_step_table(tx_type):
             TxRecord(tx_type, **fields)
 
 
+def test_tx_record_defaults_to_token_0_and_amount_0():
+    # A ChangePubKey names only its account; the trace parser passes every field.
+    assert TxRecord(TxType.CHANGE_PUBKEY, 1) == TxRecord(TxType.CHANGE_PUBKEY, 1, None, 0, 0)
+
+
 def test_tx_record_rejects_a_negative_amount():
     with pytest.raises(TraceValidationError, match=r"^amount must be non-negative, got -5$"):
         TxRecord(TxType.TRANSFER, 1, 2, 0, -5)
@@ -328,14 +333,20 @@ def test_required_preseed_tracks_in_trace_lifecycle():
 
 
 def test_reference_after_removal_rejected():
+    # The pre-seed scan only collects; replay rejects the reference and names
+    # the block and tx.
     blocks = [
         BlockTrace(1, (
             TxRecord(TxType.FORCED_EXIT, 1, 2, 0, 0),
             TxRecord(TxType.TRANSFER, 2, 1, 0, 1),
         )),
     ]
-    with pytest.raises(TraceValidationError):
-        required_preseed(blocks)
+    assert required_preseed(blocks) == ({1, 2}, {0})
+    with pytest.raises(
+        TraceValidationError,
+        match=r"^block 1 tx 1 \(Transfer\): Transfer references absent account 2$",
+    ):
+        replay_blocks(blocks, build_preseed_book(blocks))
 
 
 def test_exited_account_can_be_recreated():
@@ -359,8 +370,12 @@ def test_transfer_to_new_existing_target_rejected():
             TxRecord(TxType.TRANSFER_TO_NEW, 1, 2, 0, 1),
         )),
     ]
-    with pytest.raises(TraceValidationError, match="TransferToNew target 2 already exists"):
-        required_preseed(blocks)
+    assert required_preseed(blocks) == ({1}, {0})
+    with pytest.raises(
+        TraceValidationError,
+        match=r"^block 1 tx 1 \(TransferToNew\): TransferToNew expects account 2 to be new$",
+    ):
+        replay_blocks(blocks, build_preseed_book(blocks))
 
 
 def test_deposit_to_unseen_account_creates_it_with_one_token():
