@@ -15,6 +15,7 @@ from .batch import (
     BatchPreconditionError,
     BatchResult,
     batch_update,
+    sweep_schedule,
     two_phase_update,
 )
 from .counters import CounterSet

@@ -8,7 +8,8 @@ ascending node list: adjacent siblings 2p and 2p+1 hash from the carried
 digests, a lone dirty child reads only its clean sibling from the cache, and
 each level's parents come out ascending and duplicate-free. Above the paths'
 last merge the one dirty node left climbs alone, one hash per level, and the
-sweep returns the root digest it computed. Each affected path is walked once.
+sweep returns the root digest it computed. Each affected path is walked once,
+in the order `sweep_schedule` gives, which the engine never builds.
 
 `two_phase_update` is the baseline it is measured against: a full root-to-leaf
 traversal per operation, then a recursive top-down rehash of the stale
@@ -26,6 +27,7 @@ states and hash counts. Both run on the calling thread.
 from __future__ import annotations
 
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .counters import CounterSet
@@ -57,13 +59,30 @@ class BatchPreconditionError(SmtError):
         return self.__class__, (self.op_index, self.cause)
 
 
+def sweep_schedule(leaves: Collection[int]) -> list[list[int]]:
+    """The nodes a batch writes, per level bottom-up, each level ascending:
+    level h is `sorted({leaf >> h})` over the dirty leaves' heap indices, from
+    the leaves themselves (h = 0) to the root (h = depth), where `depth` is a
+    leaf's `bit_length() - 1`. No leaves give no levels."""
+    if not leaves:
+        return []
+    depth = next(iter(leaves)).bit_length() - 1
+    return [sorted({leaf >> height for leaf in leaves}) for height in range(depth + 1)]
+
+
 @dataclass
 class BatchResult:
     new_root: bytes
     counters: CounterSet
-    # Ascending heap indices rehashed per level, bottom-up; recorded by the
-    # one-phase engine so schedules can be asserted and compared.
-    level_work_lists: list[list[int]] | None = None
+    dirty_leaves: Collection[int]  # heap indices of the slots the batch wrote
+
+    @property
+    def level_work_lists(self) -> list[list[int]]:
+        """`sweep_schedule` of the dirty leaves: the nodes either engine wrote,
+        per level bottom-up. No engine records it; each read computes it
+        afresh, O(k·depth) for k dirty leaves (milliseconds for a 1,024-leaf
+        batch at depth 24), so never read it inside a timed region."""
+        return sweep_schedule(self.dirty_leaves)
 
 
 # -- shared leaf phase -------------------------------------------------------
@@ -126,7 +145,7 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     returns as `new_root`. A failing op leaves the tree untouched."""
     counters = CounterSet()
     if not ops:
-        return BatchResult(tree.root(), counters, [])
+        return BatchResult(tree.root(), counters, ())
 
     started = time.perf_counter_ns()
     written, hashed_leaves = _write_leaves(tree, ops)
@@ -141,11 +160,10 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
     started = time.perf_counter_ns()
     cache, empty = tree.cache, tree.scheme.empty_chain
     node_hash, get = tree.scheme.hasher.node, cache.get
-    # The dirty leaf slots are the schedule's first level; each level above
-    # appends its parents, bottom-up. A removed leaf carries the empty digest.
+    # The dirty leaf slots are the schedule's first level; a removed leaf
+    # carries the empty digest.
     nodes = sorted(written)
     digests = [written[node] or empty[0] for node in nodes]
-    work_lists: list[list[int]] = [nodes]
     rehashed = 0
     height = 0  # the height `nodes` sit at
     while len(nodes) > 1:
@@ -175,7 +193,6 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
             parents.append(parent)
             fresh.append(digest)
         nodes, digests = parents, fresh
-        work_lists.append(nodes)
         rehashed += len(nodes)
     # Above the last merge one dirty node is left: climb its path alone.
     node, digest = nodes[0], digests[0]
@@ -188,12 +205,11 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
             cache.pop(node, None)
         else:
             cache[node] = digest
-        work_lists.append([node])
     counters.hash_phase_nanos = time.perf_counter_ns() - started
     counters.node_visits = visits + rehashed
     counters.hash_invocations = hashed_leaves + rehashed
     counters.levels_processed = depth
-    return BatchResult(digest, counters, work_lists)
+    return BatchResult(digest, counters, written.keys())
 
 
 # -- two-phase baseline --------------------------------------------------------
@@ -207,10 +223,10 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     set once it returns."""
     counters = CounterSet()
     if not ops:
-        return BatchResult(tree.root(), counters)
+        return BatchResult(tree.root(), counters, ())
 
     started = time.perf_counter_ns()
-    _, hashed_leaves = _write_leaves(tree, ops)
+    dirty, hashed_leaves = _write_leaves(tree, ops)
     depth, leaf_base = tree.depth, tree.capacity
     stale: set[int] = set()
     mark = stale.add
@@ -243,4 +259,4 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
     counters.node_visits += 1 + 2 * len(stale)
     counters.hash_invocations = hashed_leaves + len(stale)
     counters.levels_processed = depth
-    return BatchResult(new_root, counters)
+    return BatchResult(new_root, counters, dirty.keys())

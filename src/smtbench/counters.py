@@ -18,8 +18,9 @@ class CounterSet:
     the hasher calls the engine makes: one leaf hash per slot that holds a
     value after the batch (however often it was rewritten) plus one node hash
     per ancestor rehashed. Neither engine writes a counter per node it visits:
-    `obu` derives its counts from its work lists, the baseline from its stale
-    set, charging its hash phase `1 + 2·I` visits for `I` rehashed ancestors.
+    `obu` adds up the length of each level's parent list and of its lone
+    climb, the baseline counts its stale set, charging its hash phase
+    `1 + 2·I` visits for `I` rehashed ancestors.
     Wall times are nanoseconds, excluded from determinism comparisons.
     """
 

@@ -152,8 +152,8 @@ class Witness:
 
 class SparseMerkleTree:
     def __init__(self, depth: int, scheme: HashScheme = DEFAULT_SCHEME) -> None:
-        if not 1 <= depth <= MAX_DEPTH:
-            raise ConfigError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
+        if not _is_index(depth) or not 1 <= depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must be in [1, {MAX_DEPTH}], got {depth!r}")
         self.depth = depth
         self.scheme = scheme
         self.cache: dict[int, bytes] = {}

@@ -84,9 +84,10 @@ def test_c02_traversal_halving_exact_counts():
     assert r_two.counters.leaf_phase_visits == 2400
     assert r_obu.counters.node_visits == 2791
     assert r_obu.counters.hash_invocations == 491
-    assert [len(level) for level in r_obu.level_work_lists] == (
-        [100, 100, 100, 88, 44, 22, 11, 6, 3, 2] + [1] * 15
-    )
+    for result in (r_obu, r_two):
+        assert [len(level) for level in result.level_work_lists] == (
+            [100, 100, 100, 88, 44, 22, 11, 6, 3, 2] + [1] * 15
+        )
     report("C2", "leaf-phase visits 100 vs 2400 at depth 24, k=100; 2400 for 100 inserts")
 
 
@@ -129,20 +130,20 @@ def test_c04_hot_account_dedup():
 
 
 def test_c05_worked_example_schedule():
-    """Depth-2 batch on leaves {0,3,1}: sweep schedule is exactly
-    [{4,5,7},{2,3},{1}], six hashes (3 leaves, nodes 2, 3 and 1), and the
-    root matches the oracle."""
+    """Depth-2 batch on leaves {0,3,1}: both engines report the sweep
+    schedule [{4,5,7},{2,3},{1}] and six hashes (3 leaves, nodes 2, 3 and 1),
+    and the root matches the oracle."""
     initial = {0: b"a", 1: b"b", 3: b"c"}
-    tree = populated(2, initial)
     ops = [
         LeafOperation.update(0, b"a2"),
         LeafOperation.update(3, b"c2"),
         LeafOperation.update(1, b"b2"),
     ]
-    result = batch_update(tree, ops)
-    assert result.level_work_lists == [[4, 5, 7], [2, 3], [1]]
-    assert result.counters.hash_invocations == 6
-    assert result.new_root == naive_root(2, final_leaves(initial, ops))
+    for engine in (batch_update, two_phase_update):
+        result = engine(populated(2, initial), ops)
+        assert result.level_work_lists == [[4, 5, 7], [2, 3], [1]]
+        assert result.counters.hash_invocations == 6
+        assert result.new_root == naive_root(2, final_leaves(initial, ops))
     report("C5", "work lists [{4,5,7},{2,3},{1}] with oracle-equal root")
 
 

@@ -12,6 +12,7 @@ from smtbench.batch import (
     TWO_PHASE,
     BatchPreconditionError,
     batch_update,
+    sweep_schedule,
     two_phase_update,
 )
 from smtbench.hasher import BoundHasher, HashScheme
@@ -51,7 +52,7 @@ def test_empty_batch_is_noop():
         assert result.counters.node_visits == 0
         assert result.counters.hash_invocations == 0
         assert result.counters.levels_processed == 0
-    assert batch_update(tree, []).level_work_lists == []
+        assert result.level_work_lists == []
 
 
 # -- phase accounting --------------------------------------------------------------
@@ -60,13 +61,12 @@ def test_empty_batch_is_noop():
 def test_level_monotonicity_of_work_lists():
     rng = random.Random(5)
     initial, ops = random_case(rng, 7, max_initial=16, max_ops=40)
-    tree = populated(7, initial)
-    result = batch_update(tree, ops)
-    if ops:
-        for height, work in enumerate(result.level_work_lists):
-            assert work == sorted(work)
-            assert {7 + 1 - i.bit_length() for i in work} == {height}
-    assert two_phase_update(tree, []).level_work_lists is None
+    schedules = [engine(populated(7, initial), ops).level_work_lists for engine in ENGINES]
+    assert schedules[0] == schedules[1]
+    assert len(schedules[0]) == 7 + 1
+    for height, work in enumerate(schedules[0]):
+        assert work == sorted(work)
+        assert {7 + 1 - i.bit_length() for i in work} == {height}
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
@@ -84,6 +84,8 @@ def test_phase_timers_each_time_their_own_phase(engine, monkeypatch):
 
 
 def assert_sweep_matches_oracles(depth, initial, ops, result):
+    """`result`, from either engine, reports the schedule the oracles give
+    for `ops` and the root they give for the final leaves."""
     internal = result.level_work_lists[1:]
     for work in result.level_work_lists:
         assert work == sorted(set(work))  # ascending, no parent repeats
@@ -122,8 +124,7 @@ def test_removals_prune_subtree_to_defaults(engine):
     result = engine(tree, ops)
     assert tree.cache == populated(depth, {40: b"new"}).cache
     assert result.new_root == naive_root(depth, {40: b"new"})
-    if engine is batch_update:
-        assert_sweep_matches_oracles(depth, initial, ops, result)
+    assert_sweep_matches_oracles(depth, initial, ops, result)
 
 
 @pytest.mark.parametrize(
@@ -147,6 +148,7 @@ def test_wide_batches_leave_the_two_phase_tree(updated, inserted):
     assert obu_tree.cache == two_tree.cache
     assert obu_tree.leaf_values == two_tree.leaf_values
     assert_sweep_matches_oracles(depth, initial, ops, r_obu)
+    assert_sweep_matches_oracles(depth, initial, ops, r_two)
     check_consistency(obu_tree)
 
 
@@ -155,11 +157,14 @@ def test_wide_batches_leave_the_two_phase_tree(updated, inserted):
 
 
 def climb_against_two_phase(tree, ops):
-    """Run both engines on copies of `tree`; they must agree and the
-    one-phase tree must be consistent. Returns the one-phase result."""
+    """Run both engines on copies of `tree`; they must agree, schedule
+    included, and the one-phase tree must be consistent. Returns the
+    one-phase result."""
     other = tree.clone()
     result = batch_update(tree, ops)
-    assert result.new_root == two_phase_update(other, ops).new_root == tree.root()
+    baseline = two_phase_update(other, ops)
+    assert result.new_root == baseline.new_root == tree.root()
+    assert result.level_work_lists == baseline.level_work_lists
     assert tree.cache == other.cache
     check_consistency(tree)
     return result
@@ -375,7 +380,8 @@ def test_failed_batch_keeps_a_non_canonical_leaf_digest(engine):
     assert tree.leaf_values == leaves
 
 
-def test_sweep_first_level_carries_each_slots_last_write():
+@pytest.mark.parametrize("engine", ENGINES, ids=[OBU, TWO_PHASE])
+def test_sweep_first_level_carries_each_slots_last_write(engine):
     # Leaf 5 is inserted then removed, so its slot carries the default digest
     # and is never hashed; leaf 1 is updated twice, so its slot carries the
     # second digest.
@@ -386,7 +392,7 @@ def test_sweep_first_level_carries_each_slots_last_write():
         LeafOperation.remove(5),
         LeafOperation.update(1, b"c"),
     ]
-    result = batch_update(tree, ops)
+    result = engine(tree, ops)
     assert result.level_work_lists[0] == [(1 << 4) + 1, (1 << 4) + 5]
     assert result.new_root == naive_root(4, {1: b"c"})
     assert tree.cache == populated(4, {1: b"c"}).cache
@@ -487,6 +493,37 @@ class _CacheLog(dict):
     def pop(self, key, *default):
         self.writes.append(key)
         return super().pop(key, *default)
+
+
+def test_engines_write_exactly_the_sweep_schedule():
+    # The schedule is a function of the dirty slots alone. Its internal levels
+    # are the ancestor union; `obu` writes them level by level, each ascending,
+    # and the baseline writes the same nodes once each in its own order, so its
+    # stale set is the schedule's internal nodes.
+    rng = random.Random(0x5C)
+    removals = 0
+    for case in range(300):
+        depth = rng.randrange(1, 11)
+        initial, ops = random_case(rng, depth)
+        leaves = {(1 << depth) + op.index for op in ops}
+        schedule = sweep_schedule(leaves)
+        assert len(schedule) == (depth + 1 if ops else 0), f"case {case}"
+        assert schedule[:1] == ([sorted(leaves)] if ops else []), f"case {case}"
+        for height, level in enumerate(schedule):
+            assert level == sorted(set(level)), f"case {case}"
+            assert {node.bit_length() for node in level} == {depth + 1 - height}, f"case {case}"
+        internal = [node for level in schedule[1:] for node in level]
+        assert set(internal) == ancestor_union(depth, {op.index for op in ops}), f"case {case}"
+        written = []
+        for engine in ENGINES:
+            tree = populated(depth, initial)
+            tree.cache = log = _CacheLog(tree.cache)
+            assert engine(tree, ops).level_work_lists == schedule, f"case {case}"
+            written.append([node for node in log.writes if node < 1 << depth])
+        assert written[0] == internal, f"case {case}"
+        assert sorted(written[1]) == sorted(internal), f"case {case}"
+        removals += any(op.value is None for op in ops)
+    assert removals > 0
 
 
 def test_baseline_hash_phase_visits_are_its_recursive_entries():
@@ -616,7 +653,8 @@ def test_engines_match_pinned_equivalence_digest():
                     c.hash_invocations,
                     c.leaf_phase_visits,
                     c.levels_processed,
-                    result.level_work_lists,
+                    # The pin predates the baseline reporting a schedule.
+                    result.level_work_lists if engine is batch_update else None,
                 )
             state = (sorted(tree.cache.items()), sorted(tree.leaf_values.items()))
             digest.update(repr((engine.__name__, outcome, state)).encode())

@@ -52,7 +52,7 @@ def test_gen_empty_roots():
     assert gen(2).root() == hash_node(DEFAULT_SCHEME, half, half)
 
 
-@pytest.mark.parametrize("depth", [0, -1, 64])
+@pytest.mark.parametrize("depth", [0, -1, 64, True, 24.0, "24"])
 def test_gen_rejects_bad_depth(depth):
     with pytest.raises(ConfigError):
         gen(depth)
