@@ -14,11 +14,11 @@ from .batch import (
     TWO_PHASE,
     BatchPreconditionError,
     BatchResult,
+    CounterSet,
     batch_update,
     sweep_schedule,
     two_phase_update,
 )
-from .counters import CounterSet
 from .hasher import (
     DEFAULT_SCHEME,
     SLOW_SCHEME,

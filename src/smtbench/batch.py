@@ -30,7 +30,6 @@ import time
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .counters import CounterSet
 from .hasher import DEFAULT_PAYLOAD
 from .smt_core import (
     OP_INSERT,
@@ -57,6 +56,30 @@ class BatchPreconditionError(SmtError):
 
     def __reduce__(self):
         return self.__class__, (self.op_index, self.cause)
+
+
+@dataclass
+class CounterSet:
+    """Work counters for one engine run, written only by the engine that
+    owns them.
+
+    node_visits follows the library's visit convention: one visit is one
+    cache lookup-or-write on a node index performed by the operation's own
+    control flow, save that an `obu` insert is charged its path's `depth`
+    visits, the cost model's O(log n), though its leaf phase reads no
+    ancestor: the sweep hashes and writes that path. hash_invocations counts
+    the hasher calls the engine makes: one leaf hash per slot that holds a
+    value after the batch (however often it was rewritten) plus one node hash
+    per ancestor rehashed. Wall times are nanoseconds, excluded from
+    determinism comparisons.
+    """
+
+    node_visits: int = 0
+    hash_invocations: int = 0
+    leaf_phase_visits: int = 0
+    leaf_phase_nanos: int = 0
+    hash_phase_nanos: int = 0
+    levels_processed: int = 0
 
 
 def sweep_schedule(leaves: Collection[int]) -> list[list[int]]:
@@ -90,18 +113,19 @@ class BatchResult:
 
 def _write_leaves(
     tree: SparseMerkleTree, ops: list[LeafOperation]
-) -> tuple[dict[int, bytes | None], int]:
+) -> tuple[dict[int, bytes | None], int, int]:
     """Check every op's preconditions in order, reading the tree through the
     batch's own earlier ops, and write nothing while checking; a failing op
     raises BatchPreconditionError with the tree untouched. Then write each
     dirty slot's final value and hash it once into the cache. Ancestors stay
     stale for the engine's hash phase. Returns the dirty leaf slots, heap
-    index -> new leaf digest or None where the slot's last op removed it, and
-    the number of leaf hashes made."""
+    index -> new leaf digest or None where the slot's last op removed it, the
+    number of leaf hashes made and the number of insert ops."""
     values, leaf_base, default = tree.leaf_values, tree.capacity, DEFAULT_PAYLOAD
     # Leaf index -> the slot's value so far in this batch, None when removed.
     # Keyed by the ops' own index objects, which `leaf_values` then shares.
     written: dict[int, bytes | None] = {}
+    inserts = 0
     try:
         for op_index, op in enumerate(ops):
             index, value = op.index, op.value
@@ -110,6 +134,7 @@ def _write_leaves(
                 tree.check_range(index)
                 if present:
                     raise DuplicateLeafError(f"leaf {index} already present")
+                inserts += 1
             elif not present:
                 raise MissingLeafError(f"leaf {index} not present")
             if value == default:  # a remove's value is None
@@ -130,7 +155,7 @@ def _write_leaves(
         else:
             values[index] = value
             cache[heap] = dirty[heap] = leaf_hash(value)
-    return dirty, len(written) - removed
+    return dirty, len(written) - removed, inserts
 
 
 # -- one-phase batch update ----------------------------------------------------
@@ -148,12 +173,8 @@ def batch_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchResul
         return BatchResult(tree.root(), counters, ())
 
     started = time.perf_counter_ns()
-    written, hashed_leaves = _write_leaves(tree, ops)
+    written, hashed_leaves, inserts = _write_leaves(tree, ops)
     depth = tree.depth
-    inserts = 0
-    for op in ops:
-        if op.kind is OP_INSERT:
-            inserts += 1
     counters.leaf_phase_visits = visits = len(ops) + (depth - 1) * inserts
     counters.leaf_phase_nanos = time.perf_counter_ns() - started
 
@@ -226,7 +247,7 @@ def two_phase_update(tree: SparseMerkleTree, ops: list[LeafOperation]) -> BatchR
         return BatchResult(tree.root(), counters, ())
 
     started = time.perf_counter_ns()
-    dirty, hashed_leaves = _write_leaves(tree, ops)
+    dirty, hashed_leaves, _ = _write_leaves(tree, ops)
     depth, leaf_base = tree.depth, tree.capacity
     stale: set[int] = set()
     mark = stale.add

@@ -24,7 +24,7 @@ from .batch import (
     OBU, TWO_PHASE, BatchPreconditionError, BatchResult, batch_update, two_phase_update,
 )
 from .smt_core import (
-    MAX_DEPTH, OP_INSERT, OP_UPDATE, LeafOperation, SmtError, SparseMerkleTree, gen,
+    MAX_DEPTH, OP_INSERT, OP_UPDATE, LeafOperation, SmtError, SparseMerkleTree, _is_index, gen,
 )
 from .workload import (
     BlockTrace,
@@ -77,10 +77,10 @@ def percent_decrease(baseline_nanos: float, obu_nanos: float) -> float:
 
 
 def _check_sizes(depth: int, runs: int) -> None:
-    if not 1 <= depth <= MAX_DEPTH:
-        raise BenchConfigError(f"depth must be in [1, MAX_DEPTH={MAX_DEPTH}], got {depth}")
-    if not 1 <= runs <= MAX_RUNS:
-        raise BenchConfigError(f"runs must be in [1, MAX_RUNS={MAX_RUNS}], got {runs}")
+    if not _is_index(depth) or not 1 <= depth <= MAX_DEPTH:
+        raise BenchConfigError(f"depth must be an int in [1, MAX_DEPTH={MAX_DEPTH}], got {depth!r}")
+    if not _is_index(runs) or not 1 <= runs <= MAX_RUNS:
+        raise BenchConfigError(f"runs must be an int in [1, MAX_RUNS={MAX_RUNS}], got {runs!r}")
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,9 @@ def run_micro(
     """Sweep k over one micro workload, timing each engine from identical
     pre-populated snapshots."""
     _check_sizes(depth, runs)
-    if any(k < 0 for k in k_sweep):
-        raise BenchConfigError("k values must be non-negative")
+    for k in k_sweep:
+        if not _is_index(k) or k < 0:
+            raise BenchConfigError(f"k values must be non-negative ints, got {k!r}")
     if len(set(k_sweep)) < len(k_sweep):  # one point per k, as `percent_decrease_by_k` keys them
         raise BenchConfigError("k values must be distinct")
     if max(k_sweep, default=0) > MAX_BATCH_OPS:

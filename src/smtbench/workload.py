@@ -593,7 +593,7 @@ def parse_block_trace_text(text: str) -> list[BlockTrace]:
         if not isinstance(raw_block, dict):
             raise TraceParseError(f"{where}: block must be an object")
         number = raw_block.get("block_number")
-        if not isinstance(number, int) or isinstance(number, bool):
+        if not _is_index(number):
             raise TraceParseError(f"{where}: 'block_number' must be an integer")
         raw_txs = raw_block.get("txs")
         if not isinstance(raw_txs, list) or not raw_txs:

@@ -11,6 +11,7 @@ from smtbench.batch import (
     OBU,
     TWO_PHASE,
     BatchPreconditionError,
+    CounterSet,
     batch_update,
     sweep_schedule,
     two_phase_update,
@@ -49,9 +50,7 @@ def test_empty_batch_is_noop():
     for engine in ENGINES:
         result = engine(tree, [])
         assert result.new_root == root
-        assert result.counters.node_visits == 0
-        assert result.counters.hash_invocations == 0
-        assert result.counters.levels_processed == 0
+        assert result.counters == CounterSet(0, 0, 0, 0, 0, 0)
         assert result.level_work_lists == []
 
 

@@ -77,6 +77,14 @@ def test_config_rejects_bad_values(tmp_path, monkeypatch):
         (lambda: run_macro(trace, runs=MAX_RUNS + 1), "MAX_RUNS"),
         (lambda: run_macro(trace, depth=MAX_DEPTH + 1), "MAX_DEPTH"),
         (lambda: run_macro(trace, depth=0), "MAX_DEPTH"),
+        # Types: a float or a bool is not a size, however it compares.
+        (lambda: run_micro("rand-update", (2,), depth=8.0), "depth must be an int .* got 8.0"),
+        (lambda: run_micro("rand-update", (2,), depth=True), "depth must be an int .* got True"),
+        (lambda: run_micro("rand-update", (2,), runs=1.0), "runs must be an int .* got 1.0"),
+        (lambda: run_macro(trace, depth=24.0), "depth must be an int .* got 24.0"),
+        (lambda: run_macro(trace, runs=True), "runs must be an int .* got True"),
+        (lambda: run_micro("rand-update", (2.0,)), "k values must be non-negative ints, got 2.0"),
+        (lambda: run_micro("rand-update", (True,)), "k values must be non-negative ints, got True"),
     ]:
         with pytest.raises(BenchConfigError, match=message):
             call()

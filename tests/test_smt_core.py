@@ -83,17 +83,20 @@ def test_leaf_precondition_rejected_by_engine(engine, case):
 
 
 @pytest.mark.parametrize(
-    "op, visits",
+    "ops, visits",
     [
-        (LeafOperation.insert(0, b"a"), 4),  # `depth`: the charge for the leaf and its path
-        (LeafOperation.update(5, b"y"), 1),
-        (LeafOperation.remove(5), 1),
+        ([LeafOperation.insert(0, b"a")], 4),  # `depth`: the charge for the leaf and its path
+        ([LeafOperation.update(5, b"y")], 1),
+        ([LeafOperation.remove(5)], 1),
+        # len(ops) + (depth - 1)·inserts = 6 + 3·2: one per op, rewrites included.
+        ([LeafOperation.insert(0, b"a"), LeafOperation.update(5, b"y"), LeafOperation.insert(3, b"b"),
+          LeafOperation.update(3, b"c"), LeafOperation.update(0, b"d"), LeafOperation.remove(5)], 12),
     ],
-    ids=["insert", "update", "remove"],
+    ids=["insert", "update", "remove", "mixed"],
 )
-def test_obu_leaf_phase_visits(op, visits):
+def test_obu_leaf_phase_visits(ops, visits):
     tree = build(4, {5: b"x"})
-    assert batch_update(tree, [op]).counters.leaf_phase_visits == visits
+    assert batch_update(tree, ops).counters.leaf_phase_visits == visits
 
 
 def test_obu_insert_writes_one_leaf_key_and_its_path():
